@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,12 +29,10 @@ from typing import Optional
 import numpy as np
 
 from .construct import build_from_phi, build_from_wplus, cross_check_constructions
-from .errors import (BrokenSusyError, ConfigError, ExpressionError,
-                     GeneratorAdmissibilityError, InadmissibleModelError,
-                     NonFiniteIntegrandError, ParameterError, PhiNotMonotoneError)
+from .errors import ConfigError, QesError
 from .expressions import parse_generator
-from .families import FAMILIES, PolyPhiParams, ces_epsilon, ces_exact_spectrum, poly_phi_generator
-from .verify import Grid, Tolerances, auto_grid, eigensolve, verify_model
+from .families import FAMILIES
+from .verify import VERIFY_LEVELS, Grid, Tolerances, auto_grid, eigensolve, verify_model
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -50,7 +49,7 @@ def _fmt(v) -> str:
 class ModelConfig:
     """Effective configuration after merging config file and flags."""
 
-    family: str = "poly-wplus"
+    family: str = next(iter(FAMILIES))  # the registry's first entry
     params: dict = field(default_factory=dict)
     expr: Optional[str] = None
     scale_hint: float = 1.0
@@ -78,10 +77,8 @@ def _load_config_file(path: str) -> ModelConfig:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r} (expected one of {sorted(known)})")
         setattr(cfg, key, value)
-    cfg.params = dict(cfg.params or {})
-    cfg.grid = dict(cfg.grid or {})
-    cfg.tolerances = dict(cfg.tolerances or {})
-    cfg.output = dict(cfg.output or {})
+    for name in ("params", "grid", "tolerances", "output"):
+        setattr(cfg, name, dict(getattr(cfg, name) or {}))
     return cfg
 
 
@@ -109,40 +106,56 @@ def _resolve_config(args) -> ModelConfig:
     return cfg
 
 
-def _check_family_params(cfg: ModelConfig):
+def _family_params(cfg: ModelConfig):
+    """The registry entry for cfg.family (None for custom) and its parameters.
+
+    Registry families fill unset parameters from their defaults; custom seeds
+    take only epsilon.
+    """
     spec = FAMILIES.get(cfg.family)
-    if cfg.family != "custom" and spec is None:
+    if spec is None and cfg.family != "custom":
         raise ConfigError(
             f"unknown family {cfg.family!r} (choose from {sorted(FAMILIES)} or custom)")
-    if spec is not None:
-        for key in cfg.params:
-            if key not in spec.required:
-                raise ConfigError(
-                    f"parameter {key!r} is not used by family {cfg.family!r} "
-                    f"(expected {list(spec.required)})")
+    allowed = list(spec.defaults) if spec is not None else ["epsilon"]
+    for key in cfg.params:
+        if key not in allowed:
+            raise ConfigError(f"parameter {key!r} is not used by family {cfg.family!r} "
+                              f"(expected {allowed})")
+    return spec, {**(spec.defaults if spec is not None else {}), **cfg.params}
+
+
+def _custom_generator(cfg: ModelConfig):
+    if not cfg.expr:
+        raise ConfigError("custom family requires --expr")
+    return parse_generator(cfg.expr, scale_hint=cfg.scale_hint)
 
 
 def make_model(cfg: ModelConfig):
-    if cfg.family == "custom":
-        if not cfg.expr:
-            raise ConfigError("custom family requires --expr")
-        gen = parse_generator(cfg.expr, scale_hint=cfg.scale_hint)
-        eps = cfg.params.get("epsilon")
-        if eps is not None:
-            return build_from_phi(gen, float(eps))
-        return build_from_wplus(gen)
-    _check_family_params(cfg)
-    spec = FAMILIES[cfg.family]
-    params = dict(spec.defaults)
-    params.update(cfg.params)
-    return spec.build(params)
+    spec, params = _family_params(cfg)
+    if spec is not None:
+        return spec.build(params)
+    gen = _custom_generator(cfg)
+    eps = params.get("epsilon")
+    return build_from_wplus(gen) if eps is None else build_from_phi(gen, float(eps))
 
 
 def _resolve_grid(cfg: ModelConfig, model) -> Grid:
     n = int(cfg.grid.get("N", 4001))
-    if "L" in cfg.grid:
-        return Grid(float(cfg.grid["L"]), n)
-    return auto_grid(model, n_points=n)
+    if n < 3 or n % 2 == 0:
+        raise ConfigError(f"grid N (--grid-n) must be an odd integer >= 3 (got {n})")
+    if "L" not in cfg.grid:
+        return auto_grid(model, n_points=n)
+    L = float(cfg.grid["L"])
+    if not (math.isfinite(L) and L > 0):
+        raise ConfigError(f"grid L (--grid-l) must be positive and finite (got {L})")
+    return Grid(L, n)
+
+
+def _require_levels(grid: Grid, k: int):
+    """eigensolve resolves at most N // 4 levels on an N-point grid."""
+    if k > grid.N // 4:
+        raise ConfigError(f"grid N (--grid-n) = {grid.N} resolves at most {grid.N // 4} "
+                          f"levels; {k} are needed (use N >= {4 * k + 1})")
 
 
 def _resolve_tolerances(cfg: ModelConfig) -> Tolerances:
@@ -169,17 +182,15 @@ def _sweep_values(spec: str):
 
 def _summary_line(cfg: ModelConfig, model) -> str:
     parts = [f"family={cfg.family}"]
-    merged = {}
-    family_spec = FAMILIES.get(cfg.family)
-    if family_spec is not None:
-        merged = dict(family_spec.defaults)
-        merged.update(cfg.params)
-        parts += [f"{k}={_fmt(v)}" for k, v in merged.items()]
-    elif cfg.expr:
-        parts.append(f"expr={cfg.expr!r}")
-    if "epsilon" not in merged:
+    spec, params = _family_params(cfg)
+    if spec is None:
+        params = {}
+        if cfg.expr:
+            parts.append(f"expr={cfg.expr!r}")
+    parts += [f"{k}={_fmt(v)}" for k, v in params.items()]
+    if "epsilon" not in params:
         parts.append(f"epsilon={_fmt(model.epsilon)}")
-    if "x0" not in merged:
+    if "x0" not in params:
         parts.append(f"x0={_fmt(model.x0)}")
     parts += ["E0=0", f"E1={_fmt(model.epsilon)}"]
     return " ".join(parts)
@@ -187,15 +198,9 @@ def _summary_line(cfg: ModelConfig, model) -> str:
 
 def _emit_table(model, grid: Grid, path: str):
     x = grid.points()
-    columns = [
-        x,
-        np.asarray(model.potentials.v_minus(x), dtype=float),
-        np.asarray(model.potentials.v_plus(x), dtype=float),
-        np.asarray(model.W.w(x), dtype=float),
-        np.asarray(model.W1.w(x), dtype=float),
-        np.asarray(model.psi0.psi(x), dtype=float),
-        np.asarray(model.psi1.psi(x), dtype=float),
-    ]
+    columns = [x] + [np.asarray(fn(x), dtype=float) for fn in (
+        model.potentials.v_minus, model.potentials.v_plus, model.W.w, model.W1.w,
+        model.psi0.psi, model.psi1.psi)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "v_minus", "v_plus", "w", "w1", "psi0", "psi1"])
@@ -203,46 +208,39 @@ def _emit_table(model, grid: Grid, path: str):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _sweep_points(cfg: ModelConfig, args):
+    """(config, "KEY=VALUE") per --sweep point, or [(cfg, None)] without a sweep."""
+    if not args.sweep:
+        return [(cfg, None)]
+    key, values = _sweep_values(args.sweep)
+    return [(dataclasses.replace(cfg, params=dict(cfg.params, **{key: value}),
+                                 output=dict(cfg.output)), f"{key}={_fmt(value)}")
+            for value in values]
+
+
 def cmd_build(args) -> int:
     cfg = _resolve_config(args)
-    sweep = getattr(args, "sweep", None)
-    if sweep:
-        key, values = _sweep_values(sweep)
-        for value in values:
-            sub = dataclasses.replace(cfg, params=dict(cfg.params, **{key: value}),
-                                      output=dict(cfg.output))
-            model = make_model(sub)
-            print(_summary_line(sub, model))
-            if sub.output.get("path"):
-                stem = sub.output["path"]
-                _emit_table(model, _resolve_grid(sub, model), f"{stem}.{key}={_fmt(value)}.csv")
-        return 0
-    model = make_model(cfg)
-    print(_summary_line(cfg, model))
-    if cfg.output.get("path"):
-        _emit_table(model, _resolve_grid(cfg, model), cfg.output["path"])
+    for sub, point in _sweep_points(cfg, args):
+        model = make_model(sub)
+        print(_summary_line(sub, model))
+        path = sub.output.get("path")
+        if path:
+            _emit_table(model, _resolve_grid(sub, model),
+                        path if point is None else f"{path}.{point}.csv")
     return 0
 
 
 def cmd_verify(args) -> int:
     cfg = _resolve_config(args)
-    sweep = getattr(args, "sweep", None)
-    if sweep:
-        key, values = _sweep_values(sweep)
-        payloads = []
-        all_passed = True
-        for value in values:
-            sub = dataclasses.replace(cfg, params=dict(cfg.params, **{key: value}))
-            model = make_model(sub)
-            report = verify_model(model, _resolve_grid(sub, model), _resolve_tolerances(sub))
-            all_passed &= report.passed
-            payloads.append({"config": sub.to_dict(), **report.to_dict()})
-        _write_json(payloads, cfg.output.get("path"))
-        return 0 if all_passed else 1
-    model = make_model(cfg)
-    report = verify_model(model, _resolve_grid(cfg, model), _resolve_tolerances(cfg))
-    _write_json({"config": cfg.to_dict(), **report.to_dict()}, cfg.output.get("path"))
-    return 0 if report.passed else 1
+    payloads = []
+    for sub, _ in _sweep_points(cfg, args):
+        model = make_model(sub)
+        grid = _resolve_grid(sub, model)
+        _require_levels(grid, VERIFY_LEVELS)
+        report = verify_model(model, grid, _resolve_tolerances(sub))
+        payloads.append({"config": sub.to_dict(), **report.to_dict()})
+    _write_json(payloads if args.sweep else payloads[0], cfg.output.get("path"))
+    return 0 if all(p["passed"] for p in payloads) else 1
 
 
 def _write_json(payload, path: Optional[str]):
@@ -256,7 +254,7 @@ def _write_json(payload, path: Optional[str]):
 
 def cmd_spectrum(args) -> int:
     cfg = _resolve_config(args)
-    if getattr(args, "sweep", None):
+    if args.sweep:
         raise ConfigError("--sweep is supported for build and verify only")
     n_max = args.n_max
     if n_max < 0:
@@ -264,15 +262,14 @@ def cmd_spectrum(args) -> int:
     if n_max > MAX_SPECTRUM_DEPTH:
         raise ConfigError(
             f"n-max {n_max} exceeds the supported excited-state depth ({MAX_SPECTRUM_DEPTH})")
+    spec, params = _family_params(cfg)
     model = make_model(cfg)
     grid = _resolve_grid(cfg, model)
+    _require_levels(grid, n_max + 1)
     energies, _ = eigensolve(model.potentials.v_minus, grid, n_max + 1)
 
-    if cfg.family == "poly-phi-ces":
-        spec = FAMILIES[cfg.family]
-        merged = dict(spec.defaults)
-        merged.update(cfg.params)
-        analytic = ces_exact_spectrum(merged["a"], merged["b"], n_max)
+    if spec is not None and spec.exact_spectrum is not None:
+        analytic = spec.exact_spectrum(params, n_max)
     else:
         analytic = [0.0, model.epsilon][: n_max + 1]
 
@@ -288,26 +285,17 @@ def cmd_spectrum(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     cfg = _resolve_config(args)
-    if getattr(args, "sweep", None):
+    if args.sweep:
         raise ConfigError("--sweep is supported for build and verify only")
-    if cfg.family == "poly-phi":
-        spec = FAMILIES[cfg.family]
-        merged = dict(spec.defaults)
-        merged.update(cfg.params)
-        params = PolyPhiParams(merged["a"], merged["b"], merged["epsilon"])
-        gen, eps = poly_phi_generator(params), params.epsilon
-    elif cfg.family == "poly-phi-ces":
-        spec = FAMILIES[cfg.family]
-        merged = dict(spec.defaults)
-        merged.update(cfg.params)
-        eps = ces_epsilon(merged["a"], merged["b"])
-        gen = poly_phi_generator(PolyPhiParams(merged["a"], merged["b"], eps))
-    elif cfg.family == "custom" and cfg.expr and cfg.params.get("epsilon") is not None:
-        gen, eps = parse_generator(cfg.expr, scale_hint=cfg.scale_hint), float(cfg.params["epsilon"])
+    spec, params = _family_params(cfg)
+    if spec is not None and spec.phi_based:
+        gen, eps = spec.phi_seed(params)
+    elif spec is None and cfg.expr and params.get("epsilon") is not None:
+        gen, eps = _custom_generator(cfg), float(params["epsilon"])
     else:
-        raise ConfigError(
-            "crosscheck requires a phi-based family "
-            "(poly-phi, poly-phi-ces, or custom --expr with --epsilon)")
+        phi_families = [name for name, s in FAMILIES.items() if s.phi_based]
+        raise ConfigError(f"crosscheck requires a phi-based family "
+                          f"({', '.join(phi_families)}, or custom --expr with --epsilon)")
     result = cross_check_constructions(gen, eps)
     ok = result.max_discrepancy < CROSSCHECK_BUDGET
     print(f"v_minus_sup={_fmt(result.v_minus_sup)} psi0_sup={_fmt(result.psi0_sup)} "
@@ -377,9 +365,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, ExpressionError, GeneratorAdmissibilityError,
-            InadmissibleModelError, PhiNotMonotoneError, BrokenSusyError,
-            NonFiniteIntegrandError) as exc:
+    except QesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,6 @@ eps.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -30,8 +29,9 @@ from scipy.optimize import brentq
 from .errors import (GeneratorAdmissibilityError, InadmissibleModelError,
                      ParameterError, PhiNotMonotoneError)
 from .functions import GeneratorFunction, cumulative_integral
-from .susy import (Eigenstate, PotentialPair, Superpotential, check_sign_condition,
-                   ground_state_minus, make_superpotential, pair_potentials)
+from .susy import (Eigenstate, PotentialPair, Superpotential, _scalar_friendly,
+                   check_sign_condition, ground_state_minus, make_superpotential,
+                   pair_potentials)
 
 __all__ = [
     "QesModel",
@@ -70,7 +70,6 @@ class QesModel:
     psi0: Eigenstate
     psi1: Eigenstate
     w_plus: Callable
-    w_plus_prime: Callable
     scale_hint: float
     provenance: dict
     closed_form: Optional["ClosedForms"] = None
@@ -211,7 +210,7 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
     def psi1_prime(x):
         return (w_plus.deriv1(x) - w_plus.eval(x) * W1.w(x)) * np.exp(-integral1(x))
 
-    psi1 = Eigenstate(eps, _scalarize(psi1_fn), None, 1, _scalarize(psi1_prime))
+    psi1 = Eigenstate(eps, _scalar_friendly(psi1_fn), 1, _scalar_friendly(psi1_prime))
 
     provenance = {
         "route": "wplus-generator",
@@ -219,7 +218,7 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
         "numeric_derivatives": w_plus.numeric_derivatives,
     }
     return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1,
-                    w_plus.eval, w_plus.deriv1, s, provenance)
+                    w_plus.eval, s, provenance)
 
 
 def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
@@ -291,15 +290,11 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
     def psi1_prime(x):
         return phi.deriv1(x) * psi0_fn(x) + phi.eval(x) * psi0_prime(x)
 
-    psi0 = Eigenstate(0.0, _scalarize(psi0_fn), None, 0, _scalarize(psi0_prime))
-    psi1 = Eigenstate(eps, _scalarize(psi1_fn), None, 1, _scalarize(psi1_prime))
+    psi0 = Eigenstate(0.0, _scalar_friendly(psi0_fn), 0, _scalar_friendly(psi0_prime))
+    psi1 = Eigenstate(eps, _scalar_friendly(psi1_fn), 1, _scalar_friendly(psi1_prime))
 
     def w_plus(x):
         return 2.0 * eps * phi.eval(x) / phi.deriv1(x)
-
-    def w_plus_prime(x):
-        p1 = phi.deriv1(x)
-        return 2.0 * eps * (1.0 - phi.eval(x) * phi.deriv2(x) / (p1 * p1))
 
     provenance = {
         "route": "phi-generator",
@@ -308,15 +303,7 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
         "numeric_derivatives": phi.numeric_derivatives,
     }
     return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1,
-                    _scalarize(w_plus), _scalarize(w_plus_prime), s, provenance)
-
-
-def _scalarize(fn):
-    def wrapped(x):
-        out = fn(np.asarray(x, dtype=float))
-        return float(out) if np.ndim(out) == 0 else out
-
-    return wrapped
+                    _scalar_friendly(w_plus), s, provenance)
 
 
 @dataclass(frozen=True)
@@ -348,30 +335,21 @@ def cross_check_constructions(phi: GeneratorFunction, epsilon: float) -> CrossCh
     eps = model_b.epsilon
     s = phi.scale_hint
 
-    def u(x):  # phi/phi'
-        return phi.eval(x) / phi.deriv1(x)
+    def wp(x):  # 2 eps phi/phi'
+        return 2.0 * eps * (phi.eval(x) / phi.deriv1(x))
 
-    def u1(x):
+    def wp1(x):
         p1 = phi.deriv1(x)
-        return 1.0 - phi.eval(x) * phi.deriv2(x) / (p1 * p1)
+        return 2.0 * eps * (1.0 - phi.eval(x) * phi.deriv2(x) / (p1 * p1))
 
-    def u2(x):
+    def wp2(x):
         p1 = phi.deriv1(x)
         p2 = phi.deriv2(x)
-        return (-p2 / p1 - phi.eval(x) * phi.deriv3(x) / (p1 * p1)
-                + 2.0 * phi.eval(x) * p2 * p2 / (p1 * p1 * p1))
+        return 2.0 * eps * (-p2 / p1 - phi.eval(x) * phi.deriv3(x) / (p1 * p1)
+                            + 2.0 * phi.eval(x) * p2 * p2 / (p1 * p1 * p1))
 
     # step keyed below the shape scale so steep phi'' spikes stay resolved
     h = 1e-4 * s
-
-    def wp(x):
-        return 2.0 * eps * u(x)
-
-    def wp1(x):
-        return 2.0 * eps * u1(x)
-
-    def wp2(x):
-        return 2.0 * eps * u2(x)
 
     def wp3(x):
         return (-wp2(x + 2 * h) + 8.0 * wp2(x + h)

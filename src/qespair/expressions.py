@@ -229,9 +229,6 @@ def _eval_node(node: ast.expr, var: Jet) -> Jet:
         exponent = _literal_number(node.right)
         if exponent is not None:
             if float(exponent).is_integer():
-                if abs(exponent) > _MAX_INT_POWER:
-                    raise ExpressionError(
-                        f"integer exponent {int(exponent)} exceeds the cap of {_MAX_INT_POWER}")
                 return left.int_power(int(exponent))
             return left.float_power(exponent)
         right = _eval_node(node.right, var)

@@ -349,24 +349,41 @@ def sinh_wplus_model(params: SinhWplusParams) -> QesModel:
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A registry entry.  ``defaults`` names every parameter the family takes.
+
+    ``phi_seed`` gives the (phi, eps) seed of a family built on the
+    monotone-seed route; ``exact_spectrum`` gives levels 0..n_max of a
+    family whose whole ladder is known.
+    """
+
     name: str
-    required: tuple
     defaults: dict
     build: Callable[[dict], QesModel]
-    phi_based: bool
+    phi_seed: Optional[Callable[[dict], tuple]] = None
+    exact_spectrum: Optional[Callable[[dict, int], list]] = None
+
+    @property
+    def phi_based(self) -> bool:
+        return self.phi_seed is not None
+
+
+def _phi_seed(p: dict) -> tuple:
+    return poly_phi_generator(PolyPhiParams(**p)), p["epsilon"]
 
 
 FAMILIES = {
     "poly-wplus": FamilySpec(
-        "poly-wplus", ("a", "b"), {"a": 2.0, "b": 1.0},
-        lambda p: poly_wplus_model(PolyWplusParams(p["a"], p["b"])), False),
+        "poly-wplus", {"a": 2.0, "b": 1.0},
+        lambda p: poly_wplus_model(PolyWplusParams(**p))),
     "poly-phi": FamilySpec(
-        "poly-phi", ("a", "b", "epsilon"), {"a": 1.0, "b": 1.0, "epsilon": 1.0},
-        lambda p: poly_phi_model(PolyPhiParams(p["a"], p["b"], p["epsilon"])), True),
+        "poly-phi", {"a": 1.0, "b": 1.0, "epsilon": 1.0},
+        lambda p: poly_phi_model(PolyPhiParams(**p)), phi_seed=_phi_seed),
     "poly-phi-ces": FamilySpec(
-        "poly-phi-ces", ("a", "b"), {"a": 1.0, "b": 1.0},
-        lambda p: poly_phi_ces_model(p["a"], p["b"]), True),
+        "poly-phi-ces", {"a": 1.0, "b": 1.0},
+        lambda p: poly_phi_ces_model(**p),
+        phi_seed=lambda p: _phi_seed(dict(p, epsilon=ces_epsilon(**p))),
+        exact_spectrum=lambda p, n_max: ces_exact_spectrum(**p, n_max=n_max)),
     "sinh-wplus": FamilySpec(
-        "sinh-wplus", ("A", "alpha", "x0"), {"A": 1.0, "alpha": 1.0, "x0": 0.0},
-        lambda p: sinh_wplus_model(SinhWplusParams(p["A"], p["alpha"], p["x0"])), False),
+        "sinh-wplus", {"A": 1.0, "alpha": 1.0, "x0": 0.0},
+        lambda p: sinh_wplus_model(SinhWplusParams(**p))),
 }

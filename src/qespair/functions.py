@@ -165,7 +165,8 @@ def _adaptive(f, lo, hi, tol, depth=0):
 class CumulativeIntegral:
     """Primitive of an integrand anchored at a base point.
 
-    ``eval(x)`` returns the integral from ``base_point`` to ``x`` (signed).
+    Calling it returns the integral from ``base_point`` to ``x`` (signed); a
+    scalar query is a 0-d :meth:`eval_array` query, so it gets the same bits.
     The axis is tiled into panels of fixed width starting at the base point;
     completed panel sums and their running prefixes are memoized under a lock,
     so concurrent evaluation is safe and repeated queries are cheap.  Each
@@ -204,39 +205,44 @@ class CumulativeIntegral:
             return self._panel_sums[k]
 
     def _prefix(self, k: int) -> float:
-        """Signed integral from base_point to the left edge of panel k."""
+        """Signed integral from base_point to the left edge of panel k.
+
+        Walks from the nearest cached prefix towards k one panel at a time, in
+        the same order on every walk, so a prefix's bits do not depend on how
+        it was first reached.
+        """
+        step = 1 if k > 0 else -1
         with self._lock:
-            hit = self._prefixes.get(k)
-        if hit is not None:
-            return hit
-        if k > 0:
-            value = self._prefix(k - 1) + self._panel(k - 1)
-        else:
-            value = self._prefix(k + 1) - self._panel(k)
-        with self._lock:
-            self._prefixes.setdefault(k, value)
-            return self._prefixes[k]
+            j = k
+            while j not in self._prefixes:
+                j -= step
+            value = self._prefixes[j]
+        for i in range(j, k, step):
+            # panel min(i, i + step) lies between the prefixes at i and i + step
+            value = value + step * self._panel(min(i, i + step))
+            with self._lock:
+                value = self._prefixes.setdefault(i + step, value)
+        return value
 
     # -- evaluation ---------------------------------------------------------
-
-    def eval(self, x) -> float:
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError("query point must be finite")
-        k = math.floor((x - self.base_point) / self.panel_width)
-        lo, _ = self._panel_edges(k)
-        partial = 0.0 if x == lo else _adaptive(self.integrand, lo, x, self.abs_tol)
-        return self._prefix(k) + partial
 
     def eval_array(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         flat = xs.ravel()
+        if not np.isfinite(flat).all():
+            raise ValueError("query point must be finite")
         out = np.empty_like(flat)
         ks = np.floor((flat - self.base_point) / self.panel_width).astype(int)
-        for k in np.unique(ks):
+        panels, which = np.unique(ks, return_inverse=True)
+        # Queries on a panel's left edge are its prefix: a panel with no other
+        # queries skips the quadrature.  A batch with interior points goes
+        # whole, because dropping rows can change the other rows' rounding.
+        interior = np.bincount(which, flat != self.base_point + ks * self.panel_width)
+        for k, n_interior in zip(panels.tolist(), interior.tolist()):
             sel = ks == k
-            lo, _ = self._panel_edges(int(k))
-            out[sel] = self._prefix(int(k)) + self._partial_batch(lo, flat[sel])
+            lo, _ = self._panel_edges(k)
+            partial = self._partial_batch(lo, flat[sel]) if n_interior else 0.0
+            out[sel] = self._prefix(k) + partial
         return out.reshape(xs.shape)
 
     def _partial_batch(self, lo, pts):
@@ -262,9 +268,8 @@ class CumulativeIntegral:
         return result
 
     def __call__(self, x):
-        if np.ndim(x) == 0:
-            return self.eval(x)
-        return self.eval_array(x)
+        out = self.eval_array(x)
+        return float(out) if out.ndim == 0 else out
 
 
 def cumulative_integral(integrand, base_point, *, panel_width=None, abs_tol=1e-10,

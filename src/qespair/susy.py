@@ -81,14 +81,12 @@ class PotentialPair:
 class Eigenstate:
     """An unnormalized bound state with its known energy and node count.
 
-    norm_constant is None until a verification pass computes it on a concrete
-    grid.  psi_prime rides along when the construction knows the derivative
+    psi_prime rides along when the construction knows the derivative
     analytically; quadrature-based checks prefer it over finite differences.
     """
 
     energy: float
     psi: Callable
-    norm_constant: Optional[float] = None
     node_count: Optional[int] = None
     psi_prime: Optional[Callable] = None
 
@@ -162,7 +160,7 @@ def ground_state_minus(W: Superpotential) -> Eigenstate:
     def psi_prime(x):
         return -W.w(x) * np.exp(-W.integral(x))
 
-    return Eigenstate(0.0, _scalar_friendly(psi), None, 0, _scalar_friendly(psi_prime))
+    return Eigenstate(0.0, _scalar_friendly(psi), 0, _scalar_friendly(psi_prime))
 
 
 def apply_raising(W: Superpotential, psi, psi_prime, energy_plus, node_count=None) -> Eigenstate:
@@ -186,7 +184,7 @@ def apply_raising(W: Superpotential, psi, psi_prime, energy_plus, node_count=Non
         w = W.w(x)
         return scale * ((two_e - w * w) * psi(x) + w * psi_prime(x))
 
-    return Eigenstate(float(energy_plus), _scalar_friendly(raised), None, node_count,
+    return Eigenstate(float(energy_plus), _scalar_friendly(raised), node_count,
                       _scalar_friendly(raised_prime))
 
 

@@ -13,7 +13,7 @@ sampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +34,9 @@ __all__ = [
     "rayleigh_quotient",
     "verify_model",
 ]
+
+
+VERIFY_LEVELS = 4  # lowest levels of V_minus that verify_model solves for
 
 
 @dataclass(frozen=True)
@@ -192,32 +195,7 @@ class SpectralReport:
     diagnostics: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "grid": {"L": self.grid.L, "N": self.grid.N},
-            "tolerances": {
-                "energy": self.tolerances.energy,
-                "cosine_gap": self.tolerances.cosine_gap,
-                "orthogonality": self.tolerances.orthogonality,
-                "riccati": self.tolerances.riccati,
-                "residual_scale": self.tolerances.residual_scale,
-                "boundary_decay": self.tolerances.boundary_decay,
-            },
-            "epsilon": self.epsilon,
-            "eigenvalues": list(self.eigenvalues),
-            "eigenvalues_plus": list(self.eigenvalues_plus),
-            "energy_errors": list(self.energy_errors),
-            "cosine_gaps": list(self.cosine_gaps),
-            "orthogonality_ratio": self.orthogonality_ratio,
-            "node_counts": list(self.node_counts),
-            "susy_degeneracy_errors": list(self.susy_degeneracy_errors),
-            "riccati_sup": self.riccati_sup,
-            "residual_sups": list(self.residual_sups),
-            "normalization_constants": list(self.normalization_constants),
-            "boundary_amplitudes": dict(self.boundary_amplitudes),
-            "checks": dict(self.checks),
-            "passed": self.passed,
-            "diagnostics": list(self.diagnostics),
-        }
+        return asdict(self)
 
 
 def _schrodinger_residual(psi: Callable, energy: float, v: Callable,
@@ -253,7 +231,7 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     eps = model.epsilon
     tol_e = tol.energy_effective(eps)
 
-    e_minus, vec_minus = eigensolve(model.potentials.v_minus, grid, 4)
+    e_minus, vec_minus = eigensolve(model.potentials.v_minus, grid, VERIFY_LEVELS)
     e_plus, vec_plus = eigensolve(model.potentials.v_plus, grid, 3)
 
     energy_errors = [abs(float(e_minus[0])), abs(float(e_minus[1]) - eps)]

@@ -1,0 +1,48 @@
+"""The benchmark's traced run patches library names; keep them patchable.
+
+``perfbench/tracing.py`` wraps module-level names of ``qespair`` (and
+rebuilds some dataclasses with ``dataclasses.replace``) to count work per
+layer.  A refactor that drops or renames one of those names should fail
+here rather than silently break ``perfbench/run.py --trace 1``.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from qespair import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as checked in
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    from tracing import Tracer
+
+    t = Tracer()
+    t.install()
+    try:
+        yield t
+    finally:
+        t.uninstall()
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+def test_traced_verify_and_crosscheck_count_work(tracer):
+    assert quiet_main(["verify", "--family", "poly-wplus"]) == 0
+    assert tracer.counts["functions.integrand_points"] > 0
+    assert quiet_main(["crosscheck", "--family", "custom", "--expr", "x + x^3/3",
+                       "--epsilon", "2"]) == 0
+    assert tracer.counts["expressions.jet_calls"] > 0
+    assert tracer.counts["expressions.jet_points"] > 0
+

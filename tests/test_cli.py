@@ -64,6 +64,15 @@ class TestBuild:
             again = [format(float(v), ".17g") for v in np.asarray(fn(xs), dtype=float)]
             assert emitted == again
 
+    def test_far_box_emits_without_recursion(self, tmp_path, capsys):
+        # a 130-wide box puts the table 1040 panels from the node
+        out_path = tmp_path / "far.csv"
+        code, out, _ = run(["build", "--family", "poly-wplus", "--grid-l", "130",
+                            "--grid-n", "5", "--emit", str(out_path)], capsys)
+        assert code == 0
+        assert out.startswith("family=poly-wplus")
+        assert len(out_path.read_text().splitlines()) == 6
+
     def test_sweep_prints_sorted_summaries(self, capsys):
         code, out, _ = run(["build", "--family", "poly-wplus", "--a", "2",
                             "--sweep", "b=2:0.5:4"], capsys)
@@ -94,6 +103,29 @@ class TestValidation:
         code, _, err = run(["build", "--family", "poly-wplus", "--A", "1"], capsys)
         assert code == 2
         assert "not used by family" in err
+
+    def test_custom_family_takes_only_epsilon(self, capsys):
+        code, _, err = run(["build", "--family", "custom", "--expr", "2*x + x^3",
+                            "--a", "5"], capsys)
+        assert code == 2
+        assert "not used by family" in err
+
+    def test_crosscheck_validates_parameters(self, capsys):
+        code, _, err = run(["crosscheck", "--family", "poly-phi", "--A", "1"], capsys)
+        assert code == 2
+        assert "not used by family" in err
+
+    @pytest.mark.parametrize("args,setting", [
+        (["verify", "--family", "poly-wplus", "--grid-n", "4000"], "--grid-n"),
+        (["verify", "--family", "poly-wplus", "--grid-l", "-1"], "--grid-l"),
+        (["verify", "--family", "poly-wplus", "--grid-n", "13"], "--grid-n"),
+        (["spectrum", "--family", "poly-wplus", "--n-max", "8", "--grid-n", "31"],
+         "--grid-n"),
+    ], ids=["even-n", "negative-l", "n-too-small-for-verify", "n-too-small-for-spectrum"])
+    def test_bad_grid_is_a_usage_error(self, args, setting, capsys):
+        code, _, err = run(args, capsys)
+        assert code == 2
+        assert err.startswith("error:") and setting in err
 
     def test_inadmissible_expression(self, capsys):
         code, _, err = run(["build", "--family", "custom", "--expr", "sin(x)"], capsys)

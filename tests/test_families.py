@@ -32,6 +32,12 @@ class TestPolyWplus:
         ratio = model.psi0.psi(xs[mid]) / cf.psi0(xs[mid])
         assert np.max(np.abs(ratio - ratio[0])) < 1e-10
 
+    def test_far_tails_evaluate_without_recursion(self):
+        # 1600 panels out, past the default recursion limit
+        model = poly_wplus_model(PolyWplusParams(2.0, 1.0))
+        assert model.psi0.psi(200.0) == 0.0
+        assert model.psi0.psi(-200.0) == 0.0
+
     def test_potential_value_at_the_origin(self):
         # a=2, b=1: constant terms 3ab/(8a^2) + 3b/(8a) - a/2... collapsed by hand
         model = poly_wplus_model(PolyWplusParams(2.0, 1.0))
@@ -78,6 +84,19 @@ class TestPolyPhi:
         expected = (1.0 + xs ** 2) ** (-0.5 - 1.0 / 3.0) * np.exp(-xs ** 2 / 6.0)
         ratio = model.psi0.psi(xs) / expected
         assert np.max(np.abs(ratio - ratio[0])) < 1e-12
+
+    def test_closed_forms_match_the_construction(self):
+        model = poly_phi_model(PolyPhiParams(2.0, 0.5, 0.7))
+        xs = model.probe_points()
+        cf = model.closed_form
+        assert np.max(np.abs(cf.v_minus(xs) - model.potentials.v_minus(xs))) < 1e-12
+        assert np.max(np.abs(cf.v_plus(xs) - model.potentials.v_plus(xs))) < 1e-12
+        # wavefunctions share a normalization, so compare their ratio
+        ratio0 = model.psi0.psi(xs) / cf.psi0(xs)
+        assert np.max(np.abs(ratio0 / ratio0[0] - 1.0)) < 1e-12
+        off_node = xs != model.x0  # psi1 vanishes at the node
+        ratio1 = model.psi1.psi(xs[off_node]) / cf.psi1(xs[off_node])
+        assert np.max(np.abs(ratio1 / ratio1[0] - 1.0)) < 1e-12
 
     def test_nonpositive_parameters_are_rejected(self):
         with pytest.raises(ParameterError, match="epsilon must be > 0"):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qespair.construct import build_from_wplus
 from qespair.errors import NonFiniteIntegrandError
+from qespair.expressions import parse_generator
 from qespair.functions import (CumulativeIntegral, GeneratorFunction, cumulative_integral,
                                from_eval_only, make_analytic, validate_derivatives)
 
@@ -82,6 +84,12 @@ class TestCumulativeIntegral:
         batch = F(xs)
         single = np.array([F(float(x)) for x in xs])
         assert np.array_equal(batch, single)
+        # a constructed model: the primitive of W and a state built on W1's
+        model = build_from_wplus(parse_generator("sinh(x - 0.4)"))
+        s = model.scale_hint
+        xs = np.linspace(model.x0 - 6.0 * s, model.x0 + 6.0 * s, 97)
+        for fn in (model.W.integral, model.psi1.psi):
+            assert np.array_equal(fn(xs), np.array([fn(float(x)) for x in xs]))
 
     def test_repeat_evaluation_is_deterministic(self):
         F = cumulative_integral(np.sin, 0.0)
