@@ -12,7 +12,8 @@ from .construct import (CrossCheckResult, QesModel, build_from_phi, build_from_w
                         cross_check_constructions, epsilon_from_wplus, find_single_zero)
 from .errors import (BrokenSusyError, ConfigError, ExpressionError,
                      GeneratorAdmissibilityError, InadmissibleModelError,
-                     NonFiniteIntegrandError, ParameterError, PhiNotMonotoneError, QesError)
+                     NonFiniteIntegrandError, ParameterError, PhiNotMonotoneError, QesError,
+                     QueryRangeError)
 from .expressions import parse_generator
 from .families import (FAMILIES, PolyPhiParams, PolyWplusParams, SinhWplusParams,
                        ces_epsilon, ces_exact_spectrum, ces_excited_states,
@@ -36,7 +37,7 @@ __all__ = [
     "GeneratorAdmissibilityError", "GeneratorFunction", "Grid",
     "InadmissibleModelError", "NonFiniteIntegrandError", "ParameterError",
     "PhiNotMonotoneError", "PolyPhiParams", "PolyWplusParams", "PotentialPair",
-    "QesError", "QesModel", "SignConditionCheck", "SinhWplusParams",
+    "QesError", "QesModel", "QueryRangeError", "SignConditionCheck", "SinhWplusParams",
     "SpectralReport", "Superpotential", "Tolerances", "apply_raising",
     "auto_grid", "build_from_phi", "build_from_wplus", "ces_epsilon",
     "ces_exact_spectrum", "ces_excited_states", "check_sign_condition",

@@ -61,6 +61,15 @@ class ModelConfig:
         return dataclasses.asdict(self)
 
 
+def _number(value, key: str, kind=float):
+    """A config value converted to kind, or a ConfigError naming its key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config value {key} must be {noun} (got {value!r})") from exc
+
+
 def _load_config_file(path: str) -> ModelConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -78,7 +87,10 @@ def _load_config_file(path: str) -> ModelConfig:
             raise ConfigError(f"unknown config key {key!r} (expected one of {sorted(known)})")
         setattr(cfg, key, value)
     for name in ("params", "grid", "tolerances", "output"):
-        setattr(cfg, name, dict(getattr(cfg, name) or {}))
+        section = getattr(cfg, name) or {}
+        if not isinstance(section, dict):
+            raise ConfigError(f"config key {name!r} must be a JSON object (got {section!r})")
+        setattr(cfg, name, dict(section))
     return cfg
 
 
@@ -103,6 +115,8 @@ def _resolve_config(args) -> ModelConfig:
     out_flag = getattr(args, "out", None) or getattr(args, "emit", None)
     if out_flag:
         cfg.output["path"] = out_flag
+    if not isinstance(cfg.output.get("path", ""), str):
+        raise ConfigError(f"config value output.path must be a string (got {cfg.output['path']!r})")
     return cfg
 
 
@@ -121,13 +135,14 @@ def _family_params(cfg: ModelConfig):
         if key not in allowed:
             raise ConfigError(f"parameter {key!r} is not used by family {cfg.family!r} "
                               f"(expected {allowed})")
-    return spec, {**(spec.defaults if spec is not None else {}), **cfg.params}
+    params = {key: _number(value, f"params.{key}") for key, value in cfg.params.items()}
+    return spec, {**(spec.defaults if spec is not None else {}), **params}
 
 
 def _custom_generator(cfg: ModelConfig):
-    if not cfg.expr:
-        raise ConfigError("custom family requires --expr")
-    return parse_generator(cfg.expr, scale_hint=cfg.scale_hint)
+    if not (cfg.expr and isinstance(cfg.expr, str)):
+        raise ConfigError("custom family requires --expr (a string)")
+    return parse_generator(cfg.expr, scale_hint=_number(cfg.scale_hint, "scale_hint"))
 
 
 def make_model(cfg: ModelConfig):
@@ -136,16 +151,16 @@ def make_model(cfg: ModelConfig):
         return spec.build(params)
     gen = _custom_generator(cfg)
     eps = params.get("epsilon")
-    return build_from_wplus(gen) if eps is None else build_from_phi(gen, float(eps))
+    return build_from_wplus(gen) if eps is None else build_from_phi(gen, eps)
 
 
 def _resolve_grid(cfg: ModelConfig, model) -> Grid:
-    n = int(cfg.grid.get("N", 4001))
+    n = _number(cfg.grid.get("N", 4001), "grid.N", int)
     if n < 3 or n % 2 == 0:
         raise ConfigError(f"grid N (--grid-n) must be an odd integer >= 3 (got {n})")
     if "L" not in cfg.grid:
         return auto_grid(model, n_points=n)
-    L = float(cfg.grid["L"])
+    L = _number(cfg.grid["L"], "grid.L")
     if not (math.isfinite(L) and L > 0):
         raise ConfigError(f"grid L (--grid-l) must be positive and finite (got {L})")
     return Grid(L, n)
@@ -164,7 +179,7 @@ def _resolve_tolerances(cfg: ModelConfig) -> Tolerances:
     for key, value in cfg.tolerances.items():
         if key not in known:
             raise ConfigError(f"unknown tolerance {key!r} (expected one of {sorted(known)})")
-        overrides[key] = float(value)
+        overrides[key] = _number(value, f"tolerances.{key}")
     return Tolerances(**overrides)
 
 
@@ -291,7 +306,7 @@ def cmd_crosscheck(args) -> int:
     if spec is not None and spec.phi_based:
         gen, eps = spec.phi_seed(params)
     elif spec is None and cfg.expr and params.get("epsilon") is not None:
-        gen, eps = _custom_generator(cfg), float(params["epsilon"])
+        gen, eps = _custom_generator(cfg), params["epsilon"]
     else:
         phi_families = [name for name, s in FAMILIES.items() if s.phi_based]
         raise ConfigError(f"crosscheck requires a phi-based family "

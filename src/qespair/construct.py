@@ -218,7 +218,7 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
         "numeric_derivatives": w_plus.numeric_derivatives,
     }
     return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1,
-                    w_plus.eval, s, provenance)
+                    _scalar_friendly(w_plus.eval), s, provenance)
 
 
 def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:

@@ -35,3 +35,7 @@ class ExpressionError(QesError, ValueError):
 
 class ConfigError(QesError, ValueError):
     """A CLI config file or flag combination is invalid."""
+
+
+class QueryRangeError(QesError, ValueError):
+    """A query point or grid reaches where the model cannot be evaluated or tabulated."""

@@ -6,8 +6,8 @@ Everything downstream consumes functions through two small types:
   derivatives and a characteristic length scale.  Callables must accept either
   a float or a numpy array and act elementwise.
 * :class:`CumulativeIntegral` is a primitive of an integrand, anchored so that
-  the value at ``base_point`` is exactly zero.  Whole panels are memoized, so
-  repeated queries only ever pay for new territory.
+  the value at ``base_point`` is exactly zero.  Prefixes up to panel edges
+  are memoized, so repeated queries only ever pay for new territory.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteIntegrandError
+from .errors import NonFiniteIntegrandError, ParameterError, QueryRangeError
 
 __all__ = [
     "GeneratorFunction",
@@ -37,6 +37,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # with the machine-relative floor below this keeps huge integrands terminating.
 _MAX_SPLIT_DEPTH = 12
 _REL_FLOOR = 4.0 * np.finfo(float).eps
+
+# Intervals per integrand call, which holds 16 abscissae per interval and the
+# integrand's temporaries.  Benchmark peak RSS over a per-panel walk: +8.7% at
+# 2048, +5.2% at 1024, +2.2% at 256; 64 saved <1% and ran parsed seeds 1.6x slower.
+_MAX_INTERVALS = 256
+# A query farther out is refused: a fill's memory grows with the panels it
+# spans, and auto_grid's widest box spans 400.
+_MAX_PANELS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -61,7 +69,7 @@ class GeneratorFunction:
 
     def __post_init__(self):
         if not (np.isfinite(self.scale_hint) and self.scale_hint > 0):
-            raise ValueError("scale_hint must be a positive finite number")
+            raise ParameterError("scale_hint must be a positive finite number")
 
     def __call__(self, x):
         return self.eval(x)
@@ -139,27 +147,42 @@ def validate_derivatives(f: GeneratorFunction, sample_points, tolerance=1e-5):
 
 
 def _gl16(f, lo, hi):
-    """Fixed 16-point Gauss-Legendre quadrature of f over [lo, hi]."""
+    """16-point Gauss-Legendre integrals of f from lo[i] to hi[i], signed.
+
+    Each row is reduced on its own, never by a matrix product, so its bits do
+    not depend on which other rows share the call.
+    """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    t = mid + half * _GL_NODES
-    y = np.asarray(f(t), dtype=float)
-    if not np.all(np.isfinite(y)):
-        bad = float(t[~np.isfinite(np.atleast_1d(y))][0])
-        raise NonFiniteIntegrandError(f"integrand returned a non-finite value at x={bad!r}")
-    return half * float(np.dot(_GL_WEIGHTS, y))
+    sums = np.empty_like(lo)
+    for start in range(0, lo.size, _MAX_INTERVALS):
+        rows = slice(start, start + _MAX_INTERVALS)
+        t = mid[rows, None] + half[rows, None] * _GL_NODES
+        y = np.asarray(f(t), dtype=float)
+        bad = ~np.isfinite(y)
+        if bad.any():
+            raise NonFiniteIntegrandError(
+                f"integrand returned a non-finite value at x={float(t[bad][0])!r}")
+        sums[rows] = half[rows] * (y * _GL_WEIGHTS).sum(axis=1)
+    return sums
 
 
-def _adaptive(f, lo, hi, tol, depth=0):
-    """GL16 with interval halving until coarse and refined sums agree."""
-    coarse = _gl16(f, lo, hi)
+def _integrate(f, lo, hi, tol, depth=0):
+    """Adaptive GL16 integrals of f from lo[i] to hi[i], signed.
+
+    Rows whose whole-interval and two half-interval rules disagree beyond the
+    tolerance are halved again, with half the tolerance.
+    """
     mid = 0.5 * (lo + hi)
-    fine = _gl16(f, lo, mid) + _gl16(f, mid, hi)
-    if abs(fine - coarse) <= max(tol, _REL_FLOOR * abs(fine)) or depth >= _MAX_SPLIT_DEPTH:
-        return fine
-    half_tol = 0.5 * tol
-    return (_adaptive(f, lo, mid, half_tol, depth + 1)
-            + _adaptive(f, mid, hi, half_tol, depth + 1))
+    coarse, left, right = np.split(
+        _gl16(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])), 3)
+    fine = left + right
+    redo = np.abs(fine - coarse) > np.maximum(tol, _REL_FLOOR * np.abs(fine))
+    if depth < _MAX_SPLIT_DEPTH and redo.any():
+        halves = _integrate(f, np.concatenate([lo[redo], mid[redo]]),
+                            np.concatenate([mid[redo], hi[redo]]), 0.5 * tol, depth + 1)
+        fine[redo] = np.add(*np.split(halves, 2))
+    return fine
 
 
 class CumulativeIntegral:
@@ -168,10 +191,8 @@ class CumulativeIntegral:
     Calling it returns the integral from ``base_point`` to ``x`` (signed); a
     scalar query is a 0-d :meth:`eval_array` query, so it gets the same bits.
     The axis is tiled into panels of fixed width starting at the base point;
-    completed panel sums and their running prefixes are memoized under a lock,
-    so concurrent evaluation is safe and repeated queries are cheap.  Each
-    panel is integrated by 16-point Gauss-Legendre with one halving check and
-    recursive subdivision until the per-panel absolute tolerance is met.
+    the prefixes up to panel edges are memoized per side under a lock, and a
+    query adds the adaptive GL16 integral from its panel's left edge.
     """
 
     def __init__(self, integrand, base_point, panel_width, abs_tol=1e-10):
@@ -183,89 +204,38 @@ class CumulativeIntegral:
         self.base_point = float(base_point)
         self.panel_width = float(panel_width)
         self.abs_tol = float(abs_tol)
-        self._panel_sums: dict[int, float] = {}
-        self._prefixes: dict[int, float] = {0: 0.0}
+        self._prefixes = {1: np.zeros(1), -1: np.zeros(1)}
         self._lock = threading.Lock()
 
-    # -- panel bookkeeping -------------------------------------------------
+    def _prefixes_at(self, side: int, ks) -> np.ndarray:
+        """Integrals up to base_point + side*k*panel_width, k = max(side*ks, 0).
 
-    def _panel_edges(self, k: int):
-        b, w = self.base_point, self.panel_width
-        return b + k * w, b + (k + 1) * w
-
-    def _panel(self, k: int) -> float:
-        with self._lock:
-            hit = self._panel_sums.get(k)
-        if hit is not None:
-            return hit
-        lo, hi = self._panel_edges(k)
-        value = _adaptive(self.integrand, lo, hi, self.abs_tol)
-        with self._lock:
-            self._panel_sums.setdefault(k, value)
-            return self._panel_sums[k]
-
-    def _prefix(self, k: int) -> float:
-        """Signed integral from base_point to the left edge of panel k.
-
-        Walks from the nearest cached prefix towards k one panel at a time, in
-        the same order on every walk, so a prefix's bits do not depend on how
-        it was first reached.
+        The side's table grows under the lock by a running sum from its last
+        prefix, in walk order, so no prefix's bits depend on a query's reach.
         """
-        step = 1 if k > 0 else -1
+        ks = np.maximum(side * ks, 0).astype(np.int64)
         with self._lock:
-            j = k
-            while j not in self._prefixes:
-                j -= step
-            value = self._prefixes[j]
-        for i in range(j, k, step):
-            # panel min(i, i + step) lies between the prefixes at i and i + step
-            value = value + step * self._panel(min(i, i + step))
-            with self._lock:
-                value = self._prefixes.setdefault(i + step, value)
-        return value
-
-    # -- evaluation ---------------------------------------------------------
+            table = self._prefixes[side]
+            if ks.max(initial=0) >= table.size:
+                k = np.arange(table.size - 1, ks.max() + 1)
+                edges = self.base_point + side * k * self.panel_width
+                sums = _integrate(self.integrand, edges[:-1], edges[1:], self.abs_tol)
+                table = np.concatenate([table[:-1], np.cumsum(np.concatenate([table[-1:], sums]))])
+                self._prefixes[side] = table
+        return table[ks]
 
     def eval_array(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        flat = xs.ravel()
-        if not np.isfinite(flat).all():
-            raise ValueError("query point must be finite")
-        out = np.empty_like(flat)
-        ks = np.floor((flat - self.base_point) / self.panel_width).astype(int)
-        panels, which = np.unique(ks, return_inverse=True)
-        # Queries on a panel's left edge are its prefix: a panel with no other
-        # queries skips the quadrature.  A batch with interior points goes
-        # whole, because dropping rows can change the other rows' rounding.
-        interior = np.bincount(which, flat != self.base_point + ks * self.panel_width)
-        for k, n_interior in zip(panels.tolist(), interior.tolist()):
-            sel = ks == k
-            lo, _ = self._panel_edges(k)
-            partial = self._partial_batch(lo, flat[sel]) if n_interior else 0.0
-            out[sel] = self._prefix(k) + partial
-        return out.reshape(xs.shape)
-
-    def _partial_batch(self, lo, pts):
-        """Vectorized partial-panel integrals from lo to each of pts."""
-        pts = np.asarray(pts, dtype=float)
-        half = 0.5 * (pts - lo)
-        mid = 0.5 * (pts + lo)
-        # Three stacked GL16 rules per query: whole span plus its two halves.
-        t_whole = mid[:, None] + half[:, None] * _GL_NODES
-        lmid = 0.5 * (lo + mid)
-        t_left = lmid[:, None] + 0.5 * half[:, None] * _GL_NODES
-        rmid = 0.5 * (mid + pts)
-        t_right = rmid[:, None] + 0.5 * half[:, None] * _GL_NODES
-        y = np.asarray(self.integrand(np.concatenate([t_whole, t_left, t_right], axis=1)), dtype=float)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteIntegrandError("integrand returned a non-finite value inside a panel")
-        coarse = half * (y[:, :16] @ _GL_WEIGHTS)
-        fine = 0.5 * half * (y[:, 16:32] @ _GL_WEIGHTS) + 0.5 * half * (y[:, 32:] @ _GL_WEIGHTS)
-        ok = np.abs(fine - coarse) <= np.maximum(self.abs_tol, _REL_FLOOR * np.abs(fine))
-        result = fine
-        for i in np.nonzero(~ok)[0]:
-            result[i] = _adaptive(self.integrand, lo, float(pts[i]), self.abs_tol)
-        return result
+        ks = np.floor((xs - self.base_point) / self.panel_width)
+        if not (np.abs(ks) <= _MAX_PANELS).all():
+            raise QueryRangeError(f"query points must be finite and within {_MAX_PANELS} "
+                                  f"panels of width {self.panel_width!r} of x={self.base_point!r}")
+        out = np.where(ks >= 0, self._prefixes_at(1, ks), self._prefixes_at(-1, ks))
+        # a query on its panel's left edge is that edge's prefix: no quadrature
+        edges = self.base_point + ks * self.panel_width
+        interior = xs != edges
+        out[interior] += _integrate(self.integrand, edges[interior], xs[interior], self.abs_tol)
+        return out
 
     def __call__(self, x):
         out = self.eval_array(x)

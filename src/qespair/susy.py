@@ -40,11 +40,16 @@ __all__ = [
 
 
 def _scalar_friendly(fn):
-    """Wrap an array-based closure so scalar input returns a plain float."""
+    """Wrap an array-based closure so scalar input returns a plain float.
+
+    A scalar goes in as a 1-element array: numpy evaluates 0-d operands with
+    scalar arithmetic (its own pow, for one), whose last bit can differ from
+    the array loops, and scalar and array queries must agree bitwise.
+    """
 
     def wrapped(x):
-        out = fn(np.asarray(x, dtype=float))
-        return float(out) if np.ndim(out) == 0 else out
+        x = np.asarray(x, dtype=float)
+        return fn(x) if x.ndim else float(fn(x.reshape(1))[0])
 
     return wrapped
 

@@ -21,6 +21,7 @@ from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal
 
 from .construct import QesModel
+from .errors import QueryRangeError
 from .susy import riccati_residual
 
 __all__ = [
@@ -124,7 +125,7 @@ def eigensolve(v: Callable, grid: Grid, k: int):
     x = grid.points()
     pot = np.asarray(v(x), dtype=float)
     if not np.all(np.isfinite(pot)):
-        raise ValueError("potential is not finite on the grid")
+        raise QueryRangeError(f"potential is not finite on the grid [-{grid.L!r}, {grid.L!r}]")
     h2 = grid.h * grid.h
     diag = 1.0 / h2 + pot
     off = np.full(grid.N - 1, -0.5 / h2)
@@ -202,9 +203,9 @@ def _schrodinger_residual(psi: Callable, energy: float, v: Callable,
                           x: np.ndarray, fd_step: float):
     """Sup of |-(1/2) psi'' + (V - E) psi| with a small central stencil."""
     h = fd_step
-    lap = (np.asarray(psi(x + h), dtype=float) - 2.0 * np.asarray(psi(x), dtype=float)
-           + np.asarray(psi(x - h), dtype=float)) / (h * h)
     p = np.asarray(psi(x), dtype=float)
+    lap = (np.asarray(psi(x + h), dtype=float) - 2.0 * p
+           + np.asarray(psi(x - h), dtype=float)) / (h * h)
     r = -0.5 * lap + (np.asarray(v(x), dtype=float) - energy) * p
     return float(np.max(np.abs(r))), float(np.max(np.abs(p)))
 

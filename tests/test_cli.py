@@ -127,6 +127,20 @@ class TestValidation:
         assert code == 2
         assert err.startswith("error:") and setting in err
 
+    @pytest.mark.parametrize("args,message", [
+        (["verify", "--family", "poly-wplus", "--grid-l", "1e60"], "not finite on the grid"),
+        (["build", "--family", "poly-wplus", "--grid-l", "1e20", "--grid-n", "5"],
+         "query points must be finite and within"),
+        (["build", "--family", "custom", "--expr", "x", "--scale-hint", "-1"], "scale_hint"),
+    ], ids=["potential-overflows", "box-beyond-the-panel-range", "negative-scale-hint"])
+    def test_out_of_range_input_is_a_usage_error(self, args, message, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        code, _, err = run(args + ["--emit", str(table)] if args[0] == "build" else args,
+                           capsys)
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert not table.exists()
+
     def test_inadmissible_expression(self, capsys):
         code, _, err = run(["build", "--family", "custom", "--expr", "sin(x)"], capsys)
         assert code == 2
@@ -221,6 +235,25 @@ class TestConfigFile:
         code, _, err = run(["build", "--config", str(cfg)], capsys)
         assert code == 2
         assert "not valid JSON" in err
+
+    @pytest.mark.parametrize("config,key", [
+        ({"grid": {"N": "abc"}}, "grid.N"),
+        ({"grid": {"L": "wide"}}, "grid.L"),
+        ({"tolerances": {"energy": "tight"}}, "tolerances.energy"),
+        ({"family": "custom", "expr": "x", "scale_hint": "big"}, "scale_hint"),
+        ({"params": {"a": "x"}}, "params.a"),
+        ({"grid": 5}, "'grid'"),
+        ({"params": [1]}, "'params'"),
+        ({"family": "custom", "expr": 5}, "--expr"),
+        ({"output": {"path": 5}}, "output.path"),
+    ], ids=["grid-n", "grid-l", "tolerance", "scale-hint", "param", "grid-section",
+            "params-section", "expr", "output-path"])
+    def test_mistyped_value_is_a_usage_error(self, config, key, tmp_path, capsys):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and key in err
 
 
 class TestSpectrum:

@@ -1,15 +1,18 @@
 """Tests for generator bundles, derivative validation, and quadrature."""
 
 import math
+import sys
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qespair import functions
 from qespair.construct import build_from_wplus
-from qespair.errors import NonFiniteIntegrandError
+from qespair.errors import NonFiniteIntegrandError, QueryRangeError
 from qespair.expressions import parse_generator
+from qespair.families import PolyPhiParams, poly_phi_model
 from qespair.functions import (CumulativeIntegral, GeneratorFunction, cumulative_integral,
                                from_eval_only, make_analytic, validate_derivatives)
 
@@ -80,16 +83,40 @@ class TestCumulativeIntegral:
 
     def test_scalar_and_array_paths_agree_bitwise(self):
         F = cumulative_integral(lambda t: np.cos(t) * np.exp(-0.1 * t * t), 0.0)
-        xs = np.linspace(-9.3, 11.7, 57)
-        batch = F(xs)
-        single = np.array([F(float(x)) for x in xs])
-        assert np.array_equal(batch, single)
-        # a constructed model: the primitive of W and a state built on W1's
+        for n in (57, 4001):
+            xs = np.linspace(-9.3, 11.7, n)
+            batch = F(xs)
+            single = np.array([F(float(x)) for x in xs])
+            assert np.array_equal(batch, single)
+        # constructed models: the primitive of W and states built on W1's,
+        # then a phi-route family whose psi0 takes phi'**-0.5
         model = build_from_wplus(parse_generator("sinh(x - 0.4)"))
         s = model.scale_hint
         xs = np.linspace(model.x0 - 6.0 * s, model.x0 + 6.0 * s, 97)
         for fn in (model.W.integral, model.psi1.psi):
             assert np.array_equal(fn(xs), np.array([fn(float(x)) for x in xs]))
+        model = poly_phi_model(PolyPhiParams(1.0, 1.0, 1.0))
+        s = model.scale_hint
+        xs = np.linspace(model.x0 - 8.0 * s, model.x0 + 8.0 * s, 4001)
+        for fn in (model.psi0.psi, model.psi1.psi, model.potentials.v_minus):
+            assert np.array_equal(fn(xs), np.array([fn(float(x)) for x in xs]))
+
+    def test_dense_query_batches_its_integrand_calls(self):
+        rows = []
+
+        def integrand(t):
+            rows.append(len(t))
+            return np.cos(t) * np.exp(-0.1 * t * t)
+
+        cumulative_integral(integrand, 0.0)(np.linspace(-9.3, 11.7, 4001))
+        assert len(rows) < 100
+        assert max(rows) <= functions._MAX_INTERVALS
+
+    def test_far_or_non_finite_query_is_refused(self):
+        F = cumulative_integral(np.cos, 0.0)
+        for x in (1e20, -np.inf, np.nan):
+            with pytest.raises(QueryRangeError, match="within"):
+                F(x)
 
     def test_repeat_evaluation_is_deterministic(self):
         F = cumulative_integral(np.sin, 0.0)
@@ -115,6 +142,35 @@ class TestCumulativeIntegral:
         assert np.array_equal(results["b"], serial)
         assert np.max(np.abs(results["fresh"] - serial)) < 1e-14
         assert np.max(np.abs(serial - np.arctan(xs))) < 1e-12
+
+    def test_concurrent_fills_match_a_serial_fill(self):
+        # eight threads grow the same fresh tables to different reaches; the
+        # prefixes' bits must not depend on which thread filled which panel
+        def integrand(t):
+            return 1.0 / (1.0 + t * t)
+
+        queries = [np.linspace(-3.0 * (i + 1), 2.5 * (i + 1), 41) for i in range(8)]
+        serial = cumulative_integral(integrand, 0.0)
+        expected = [serial(q) for q in queries]
+        shared = cumulative_integral(integrand, 0.0)
+        results = {}
+
+        def worker(i):
+            results[i] = shared(queries[i])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, want in enumerate(expected):
+            assert np.array_equal(results[i], want)
 
     def test_non_finite_integrand_is_reported(self):
         def integrand(t):
