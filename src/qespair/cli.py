@@ -32,7 +32,8 @@ from .construct import build_from_phi, build_from_wplus, cross_check_constructio
 from .errors import ConfigError, QesError
 from .expressions import parse_generator
 from .families import FAMILIES
-from .verify import VERIFY_LEVELS, Grid, Tolerances, auto_grid, eigensolve, verify_model
+from .verify import (VERIFY_LEVELS, Grid, Tolerances, _sample_finite, auto_grid, eigensolve,
+                     verify_model)
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -64,6 +65,8 @@ class ModelConfig:
 def _number(value, key: str, kind=float):
     """A config value converted to kind, or a ConfigError naming its key."""
     try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         noun = "an integer" if kind is int else "a number"
@@ -212,13 +215,13 @@ def _summary_line(cfg: ModelConfig, model) -> str:
 
 
 def _emit_table(model, grid: Grid, path: str):
-    x = grid.points()
-    columns = [x] + [np.asarray(fn(x), dtype=float) for fn in (
-        model.potentials.v_minus, model.potentials.v_plus, model.W.w, model.W1.w,
-        model.psi0.psi, model.psi1.psi)]
+    names = ["x", "v_minus", "v_plus", "w", "w1", "psi0", "psi1"]
+    fns = (model.potentials.v_minus, model.potentials.v_plus, model.W.w, model.W1.w,
+           model.psi0.psi, model.psi1.psi)
+    columns = [grid.points()] + [_sample_finite(f, grid, n) for n, f in zip(names[1:], fns)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", "v_minus", "v_plus", "w", "w1", "psi0", "psi1"])
+        writer.writerow(names)
         for row in zip(*columns):
             writer.writerow([_fmt(v) for v in row])
 

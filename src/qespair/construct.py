@@ -168,37 +168,29 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
     c0 = d2_0 / d1_0
     c1 = d3_0 / (2.0 * d1_0) - d2_0 * d2_0 / (2.0 * d1_0 * d1_0)
 
-    def quotient(x):
-        x = np.asarray(x, dtype=float)
-        t = x - x0
-        near = np.abs(t) < delta
-        denom = np.where(near, 1.0, w_plus.eval(x))
-        raw = (w_plus.deriv1(x) - d1_0) / denom
-        return np.where(near, c0 + c1 * t, raw)
+    def half(sign):
+        """W (sign -1) or W1 (sign +1) as (W+ + sign*R)/2, with its slope."""
 
-    def quotient_prime(x):
-        x = np.asarray(x, dtype=float)
-        t = x - x0
-        near = np.abs(t) < delta
-        wp = np.where(near, 1.0, w_plus.eval(x))
-        d1 = w_plus.deriv1(x)
-        raw = w_plus.deriv2(x) / wp - (d1 - d1_0) * d1 / (wp * wp)
-        return np.where(near, c1, raw)
+        def w(x):
+            x = np.asarray(x, dtype=float)
+            t = x - x0
+            near = np.abs(t) < delta
+            wp = w_plus.eval(x)
+            r = np.where(near, c0 + c1 * t, (w_plus.deriv1(x) - d1_0) / np.where(near, 1.0, wp))
+            return 0.5 * (wp + sign * r)
 
-    def w(x):
-        return 0.5 * (w_plus.eval(x) - quotient(x))
+        def wprime(x):
+            x = np.asarray(x, dtype=float)
+            near = np.abs(x - x0) < delta
+            wp = np.where(near, 1.0, w_plus.eval(x))
+            d1 = w_plus.deriv1(x)
+            r1 = np.where(near, c1, w_plus.deriv2(x) / wp - (d1 - d1_0) * d1 / (wp * wp))
+            return 0.5 * (d1 + sign * r1)
 
-    def wprime(x):
-        return 0.5 * (w_plus.deriv1(x) - quotient_prime(x))
+        return w, wprime
 
-    def w1(x):
-        return 0.5 * (w_plus.eval(x) + quotient(x))
-
-    def w1prime(x):
-        return 0.5 * (w_plus.deriv1(x) + quotient_prime(x))
-
-    W = make_superpotential(w, wprime, base_point=x0, scale_hint=s, label="W")
-    W1 = make_superpotential(w1, w1prime, base_point=x0, scale_hint=s, label="W1")
+    W = make_superpotential(*half(-1.0), base_point=x0, scale_hint=s, label="W")
+    W1 = make_superpotential(*half(1.0), base_point=x0, scale_hint=s, label="W1")
     _admissibility_gate(W, W1)
 
     psi0 = ground_state_minus(W)
@@ -255,24 +247,25 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
     x0 = find_single_zero(phi)
     require_increasing(probe_grid(x0, s))
 
-    def w(x):
-        return (0.5 * phi.deriv2(x) + eps * phi.eval(x)) / phi.deriv1(x)
+    def half(sign):
+        """W (sign -1) or W1 (sign +1) as (W+ + sign*R)/2, with its slope.
 
-    def wprime(x):
-        p1 = phi.deriv1(x)
-        num = 0.5 * phi.deriv2(x) + eps * phi.eval(x)
-        return (0.5 * phi.deriv3(x) + eps * p1) / p1 - num * phi.deriv2(x) / (p1 * p1)
+        Here W+ = 2 eps phi/phi' and R = -phi''/phi'.
+        """
 
-    def w1(x):
-        return (eps * phi.eval(x) - 0.5 * phi.deriv2(x)) / phi.deriv1(x)
+        def w(x):
+            return (eps * phi.eval(x) - sign * (0.5 * phi.deriv2(x))) / phi.deriv1(x)
 
-    def w1prime(x):
-        p1 = phi.deriv1(x)
-        num = eps * phi.eval(x) - 0.5 * phi.deriv2(x)
-        return (eps * p1 - 0.5 * phi.deriv3(x)) / p1 - num * phi.deriv2(x) / (p1 * p1)
+        def wprime(x):
+            p1, p2 = phi.deriv1(x), phi.deriv2(x)
+            num = eps * phi.eval(x) - sign * (0.5 * p2)
+            return (eps * p1 - sign * (0.5 * phi.deriv3(x))) / p1 - num * p2 / (p1 * p1)
 
+        return w, wprime
+
+    w, wprime = half(-1.0)
     W = make_superpotential(w, wprime, base_point=x0, scale_hint=s, label="W")
-    W1 = make_superpotential(w1, w1prime, base_point=x0, scale_hint=s, label="W1")
+    W1 = make_superpotential(*half(1.0), base_point=x0, scale_hint=s, label="W1")
     _admissibility_gate(W, W1)
 
     shape_integral = cumulative_integral(lambda x: phi.eval(x) / phi.deriv1(x),
@@ -288,7 +281,8 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
         return phi.eval(x) * psi0_fn(x)
 
     def psi1_prime(x):
-        return phi.deriv1(x) * psi0_fn(x) + phi.eval(x) * psi0_prime(x)
+        p0 = psi0_fn(x)
+        return phi.deriv1(x) * p0 + phi.eval(x) * (-w(x) * p0)
 
     psi0 = Eigenstate(0.0, _scalar_friendly(psi0_fn), 0, _scalar_friendly(psi0_prime))
     psi1 = Eigenstate(eps, _scalar_friendly(psi1_fn), 1, _scalar_friendly(psi1_prime))

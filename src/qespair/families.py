@@ -17,12 +17,14 @@ sinh-wplus    W_plus = A*(sinh(alpha*x) - sinh(alpha*x0))   (A, alpha > 0)
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import hermite as _hermite
+from numpy.polynomial import polynomial as _polynomial
 
 from .construct import ClosedForms, QesModel, build_from_phi, build_from_wplus
 from .errors import ParameterError
@@ -51,6 +53,15 @@ def _require_positive(**kwargs):
             raise ParameterError(f"{name} must be > 0 (got {value})")
 
 
+def _polynomial_seed(coeffs, scale_hint: float, label: str) -> GeneratorFunction:
+    """A seed from ascending coefficients, every order by Horner's rule.
+
+    numpy's general power takes a slow path for negative bases.
+    """
+    return make_analytic(*(functools.partial(_polynomial.polyval, c=_polynomial.polyder(coeffs, m))
+                           for m in range(4)), scale_hint=scale_hint, label=label)
+
+
 # ---------------------------------------------------------------------------
 # poly-wplus: W_plus = a x + b x^3
 # ---------------------------------------------------------------------------
@@ -70,15 +81,8 @@ class PolyWplusParams:
 
 
 def poly_wplus_generator(params: PolyWplusParams) -> GeneratorFunction:
-    a, b = params.a, params.b
-    return make_analytic(
-        lambda x: a * x + b * x ** 3,
-        lambda x: a + 3.0 * b * np.asarray(x, dtype=float) ** 2,
-        lambda x: 6.0 * b * np.asarray(x, dtype=float),
-        lambda x: 6.0 * b * np.ones_like(np.asarray(x, dtype=float)),
-        scale_hint=params.scale_hint,
-        label=f"a*x+b*x^3 (a={params.a}, b={params.b})",
-    )
+    return _polynomial_seed([0.0, params.a, 0.0, params.b], params.scale_hint,
+                            f"a*x+b*x^3 (a={params.a}, b={params.b})")
 
 
 def poly_wplus_model(params: PolyWplusParams) -> QesModel:
@@ -163,15 +167,8 @@ class PolyPhiParams:
 
 
 def poly_phi_generator(params: PolyPhiParams) -> GeneratorFunction:
-    a, b = params.a, params.b
-    return make_analytic(
-        lambda x: a * x + b * np.asarray(x, dtype=float) ** 3 / 3.0,
-        lambda x: a + b * np.asarray(x, dtype=float) ** 2,
-        lambda x: 2.0 * b * np.asarray(x, dtype=float),
-        lambda x: 2.0 * b * np.ones_like(np.asarray(x, dtype=float)),
-        scale_hint=params.scale_hint,
-        label=f"a*x+b*x^3/3 (a={params.a}, b={params.b})",
-    )
+    return _polynomial_seed([0.0, params.a, 0.0, params.b / 3.0], params.scale_hint,
+                            f"a*x+b*x^3/3 (a={params.a}, b={params.b})")
 
 
 def poly_phi_model(params: PolyPhiParams) -> QesModel:

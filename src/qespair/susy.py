@@ -65,10 +65,9 @@ class Superpotential:
     label: str = "W"
 
 
-def make_superpotential(w, wprime, base_point=0.0, scale_hint=1.0, label="W",
-                        panel_tol=1e-10) -> Superpotential:
+def make_superpotential(w, wprime, base_point=0.0, scale_hint=1.0, label="W") -> Superpotential:
     """Assemble a Superpotential, anchoring the primitive at base_point."""
-    integral = cumulative_integral(w, base_point, scale_hint=scale_hint, abs_tol=panel_tol)
+    integral = cumulative_integral(w, base_point, scale_hint=scale_hint)
     return Superpotential(_scalar_friendly(w), _scalar_friendly(wprime),
                           integral, float(scale_hint), label)
 
@@ -79,7 +78,6 @@ class PotentialPair:
 
     v_minus: Callable
     v_plus: Callable
-    source: Superpotential
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ def pair_potentials(W: Superpotential) -> PotentialPair:
         w = W.w(x)
         return 0.5 * (w * w + W.wprime(x))
 
-    return PotentialPair(_scalar_friendly(v_minus), _scalar_friendly(v_plus), W)
+    return PotentialPair(_scalar_friendly(v_minus), _scalar_friendly(v_plus))
 
 
 @dataclass(frozen=True)

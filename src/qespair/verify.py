@@ -110,6 +110,15 @@ def auto_grid(model: QesModel, target_decay: float = 1e-12, n_points: int = 4001
     return Grid(cap * s, n_points)
 
 
+def _sample_finite(fn: Callable, grid: Grid, name: str) -> np.ndarray:
+    """fn on the grid points; QueryRangeError naming fn where a value is not finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = np.asarray(fn(grid.points()), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise QueryRangeError(f"{name} is not finite on the grid [-{grid.L!r}, {grid.L!r}]")
+    return values
+
+
 def eigensolve(v: Callable, grid: Grid, k: int):
     """Lowest k eigenpairs of the boxed Hamiltonian -(1/2) d2/dx2 + v.
 
@@ -122,10 +131,7 @@ def eigensolve(v: Callable, grid: Grid, k: int):
         raise ValueError("k must be >= 1")
     if k > grid.N // 4:
         raise ValueError("k is too large for this grid")
-    x = grid.points()
-    pot = np.asarray(v(x), dtype=float)
-    if not np.all(np.isfinite(pot)):
-        raise QueryRangeError(f"potential is not finite on the grid [-{grid.L!r}, {grid.L!r}]")
+    pot = _sample_finite(v, grid, "potential")
     h2 = grid.h * grid.h
     diag = 1.0 / h2 + pot
     off = np.full(grid.N - 1, -0.5 / h2)

@@ -132,7 +132,11 @@ class TestValidation:
         (["build", "--family", "poly-wplus", "--grid-l", "1e20", "--grid-n", "5"],
          "query points must be finite and within"),
         (["build", "--family", "custom", "--expr", "x", "--scale-hint", "-1"], "scale_hint"),
-    ], ids=["potential-overflows", "box-beyond-the-panel-range", "negative-scale-hint"])
+        (["verify", "--family", "sinh-wplus", "--grid-l", "1e60"], "not finite on the grid"),
+        (["build", "--family", "sinh-wplus", "--grid-l", "400", "--grid-n", "5"],
+         "v_minus is not finite on the grid"),
+    ], ids=["potential-overflows", "box-beyond-the-panel-range", "negative-scale-hint",
+            "sinh-potential-overflows", "table-overflows"])
     def test_out_of_range_input_is_a_usage_error(self, args, message, tmp_path, capsys):
         table = tmp_path / "table.csv"
         code, _, err = run(args + ["--emit", str(table)] if args[0] == "build" else args,
@@ -246,14 +250,24 @@ class TestConfigFile:
         ({"params": [1]}, "'params'"),
         ({"family": "custom", "expr": 5}, "--expr"),
         ({"output": {"path": 5}}, "output.path"),
+        ({"grid": {"N": 4001.9}}, "grid.N"),
     ], ids=["grid-n", "grid-l", "tolerance", "scale-hint", "param", "grid-section",
-            "params-section", "expr", "output-path"])
+            "params-section", "expr", "output-path", "fractional-grid-n"])
     def test_mistyped_value_is_a_usage_error(self, config, key, tmp_path, capsys):
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps(config))
         code, _, err = run(["verify", "--config", str(cfg)], capsys)
         assert code == 2
         assert err.startswith("error:") and key in err
+
+
+    def test_integral_float_grid_size_is_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"grid": {"N": 5.0, "L": 3.0}}))
+        table = tmp_path / "table.csv"
+        code, _, _ = run(["build", "--config", str(cfg), "--emit", str(table)], capsys)
+        assert code == 0
+        assert len(table.read_text().splitlines()) == 1 + 5
 
 
 class TestSpectrum:

@@ -1,5 +1,8 @@
 """Tests for the two model-construction routes and their cross-check."""
 
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,48 @@ def cubic_phi():
         lambda x: 2.0 * np.asarray(x, dtype=float),
         lambda x: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
         label="x + x^3/3")
+
+
+def cubic_wplus():
+    # W+ = 2x + x^3, a single transversal zero at the origin
+    return make_analytic(
+        lambda x: 2.0 * np.asarray(x, dtype=float) + np.asarray(x, dtype=float) ** 3,
+        lambda x: 2.0 + 3.0 * np.asarray(x, dtype=float) ** 2,
+        lambda x: 6.0 * np.asarray(x, dtype=float),
+        lambda x: 6.0 * np.ones_like(np.asarray(x, dtype=float)),
+        label="2x + x^3")
+
+
+def counted(gen):
+    """gen with every order wrapped in a call counter, and the counter."""
+    calls = collections.Counter()
+
+    def wrap(order):
+        fn = getattr(gen, order)
+
+        def call(x):
+            calls[order] += 1
+            return fn(x)
+        return call
+
+    orders = ("eval", "deriv1", "deriv2", "deriv3")
+    return dataclasses.replace(gen, **{order: wrap(order) for order in orders}), calls
+
+
+@pytest.mark.parametrize("route", ["wplus", "phi"])
+def test_each_generator_order_is_evaluated_once_per_sample(route):
+    if route == "wplus":
+        gen, calls = counted(cubic_wplus())
+        model = build_from_wplus(gen)
+    else:
+        gen, calls = counted(cubic_phi())
+        model = build_from_phi(gen, 1.0)
+    xs = np.linspace(-2.0, 2.0, 9)
+    for name in ("W.w", "W1.w", "W.wprime", "W1.wprime"):
+        sp, attr = name.split(".")
+        calls.clear()
+        getattr(getattr(model, sp), attr)(xs)
+        assert calls and max(calls.values()) == 1, (name, dict(calls))
 
 
 class TestFindSingleZero:

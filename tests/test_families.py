@@ -8,9 +8,42 @@ import pytest
 from qespair.errors import ParameterError
 from qespair.families import (FAMILIES, PolyPhiParams, PolyWplusParams, SinhWplusParams,
                               ces_epsilon, ces_exact_spectrum, ces_excited_states,
-                              poly_phi_ces_model, poly_phi_model, poly_wplus_model,
-                              sinh_wplus_model)
+                              poly_phi_ces_model, poly_phi_generator, poly_phi_model,
+                              poly_wplus_generator, poly_wplus_model, sinh_wplus_model)
+from qespair.functions import validate_derivatives
 from qespair.verify import auto_grid, count_nodes, rayleigh_quotient, verify_model
+
+
+class TestPolynomialSeeds:
+    XS = np.array([-4.5, -2.0, -0.7, -0.3, 0.0, 0.3, 1.25, 3.5])
+    # closed polynomials and their derivatives, orders 0..3
+    SEEDS = {
+        "poly-wplus": (lambda: poly_wplus_generator(PolyWplusParams(2.0, 1.5)),
+                       [lambda x: 2.0 * x + 1.5 * x ** 3, lambda x: 2.0 + 4.5 * x ** 2,
+                        lambda x: 9.0 * x, lambda x: np.full_like(x, 9.0)]),
+        "poly-phi": (lambda: poly_phi_generator(PolyPhiParams(2.0, 1.5, 1.0)),
+                     [lambda x: 2.0 * x + 0.5 * x ** 3, lambda x: 2.0 + 1.5 * x ** 2,
+                      lambda x: 3.0 * x, lambda x: np.full_like(x, 3.0)]),
+    }
+
+    @pytest.mark.parametrize("family", sorted(SEEDS))
+    def test_every_order_matches_the_closed_polynomial(self, family):
+        make, closed = self.SEEDS[family]
+        gen = make()
+        for fn, want in zip((gen.eval, gen.deriv1, gen.deriv2, gen.deriv3), closed):
+            np.testing.assert_allclose(fn(self.XS), want(self.XS), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("family", sorted(SEEDS))
+    def test_derivative_chain_is_consistent(self, family):
+        assert validate_derivatives(self.SEEDS[family][0](), self.XS) == []
+
+    @pytest.mark.parametrize("family", sorted(SEEDS))
+    def test_orders_keep_the_shape_of_their_input(self, family):
+        gen = self.SEEDS[family][0]()
+        grid = self.XS.reshape(2, 4)
+        for fn in (gen.eval, gen.deriv1, gen.deriv2, gen.deriv3):
+            assert fn(grid).shape == grid.shape
+            assert isinstance(float(fn(-0.7)), float)
 
 
 class TestPolyWplus:
