@@ -240,11 +240,11 @@ def cmd_build(args) -> int:
     cfg = _resolve_config(args)
     for sub, point in _sweep_points(cfg, args):
         model = make_model(sub)
-        print(_summary_line(sub, model))
         path = sub.output.get("path")
         if path:
             _emit_table(model, _resolve_grid(sub, model),
                         path if point is None else f"{path}.{point}.csv")
+        print(_summary_line(sub, model))
     return 0
 
 

@@ -7,9 +7,13 @@ rides on the stdlib ``ast`` module (the grammar is a strict subset of Python
 once ``^`` is rewritten to ``**``); every node is whitelisted, so nothing
 outside the grammar evaluates.
 
-Differentiation is forward-mode: expressions evaluate over truncated Taylor
-jets (value and first three derivatives), so the resulting
-GeneratorFunction carries analytic derivatives of the whole tree.
+Differentiation is forward-mode over truncated Taylor series: a jet holds
+the coefficients c[k] = f^(k)(x)/k!, and every operation fills them in one
+order at a time by a recurrence (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13).  An elementary function is given only by
+its value and its first-derivative rule.  Each field of the resulting
+GeneratorFunction walks the tree to its own order: ``eval`` over plain
+values, ``deriv1`` over first-order jets, and so on up to ``deriv3``.
 """
 
 from __future__ import annotations
@@ -27,142 +31,140 @@ __all__ = ["Jet", "parse_generator"]
 _MAX_INT_POWER = 64
 
 
-class Jet:
-    """Value and first three derivatives of a scalar function at a point.
+def _conv(a, b, k):
+    """Coefficient k of the product of two coefficient lists (missing ones are zero)."""
+    lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+    out = a[lo] * b[k - lo]
+    for j in range(lo + 1, hi + 1):
+        out = out + a[j] * b[k - j]
+    return out
 
-    Components may be floats or numpy arrays; arithmetic follows the Leibniz
-    and Faa di Bruno rules truncated at order three.
+
+def _quotient(num, q, den):
+    """Next coefficient of q = n/den, from coefficient len(q) of n and q's earlier ones."""
+    m = len(q)
+    for j in range(max(0, m - len(den) + 1), m):
+        num = num - q[j] * den[m - j]
+    return num / den[0]
+
+
+def _step(u, r, k):
+    """Coefficient k >= 1 of v where v' = r u': k v_k = sum_{j=1..k} j u_j r_{k-j}."""
+    out = u[1] * r[k - 1]
+    for j in range(2, k + 1):
+        out = out + j * u[j] * r[k - j]
+    return out if k == 1 else out / k
+
+
+class Jet:
+    """Taylor coefficients c[k] = f^(k)(x)/k! of a scalar function at x.
+
+    Coefficients may be floats or numpy arrays.  A constant is a jet of
+    order zero: operations read the coefficients a jet lacks as zero.
     """
 
-    __slots__ = ("f0", "f1", "f2", "f3")
+    __slots__ = ("c",)
 
-    def __init__(self, f0, f1=0.0, f2=0.0, f3=0.0):
-        self.f0, self.f1, self.f2, self.f3 = f0, f1, f2, f3
-
-    @classmethod
-    def variable(cls, x):
-        x = np.asarray(x, dtype=float)
-        return cls(x, np.ones_like(x), np.zeros_like(x), np.zeros_like(x))
+    def __init__(self, c):
+        self.c = c
 
     @classmethod
-    def constant(cls, c):
-        return cls(float(c))
-
-    # -- ring operations ----------------------------------------------------
+    def variable(cls, x, order: int):
+        return cls(([np.asarray(x, dtype=float), 1.0] + [0.0] * order)[:order + 1])
 
     def __add__(self, g):
-        return Jet(self.f0 + g.f0, self.f1 + g.f1, self.f2 + g.f2, self.f3 + g.f3)
+        a, b = self.c, g.c
+        n = min(len(a), len(b))
+        return Jet([p + q for p, q in zip(a, b)] + a[n:] + b[n:])
 
     def __sub__(self, g):
-        return Jet(self.f0 - g.f0, self.f1 - g.f1, self.f2 - g.f2, self.f3 - g.f3)
+        a, b = self.c, g.c
+        n = min(len(a), len(b))
+        return Jet([p - q for p, q in zip(a, b)] + a[n:] + [-q for q in b[n:]])
 
     def __neg__(self):
-        return Jet(-self.f0, -self.f1, -self.f2, -self.f3)
+        return Jet([-p for p in self.c])
 
     def __mul__(self, g):
-        f = self
-        return Jet(
-            f.f0 * g.f0,
-            f.f1 * g.f0 + f.f0 * g.f1,
-            f.f2 * g.f0 + 2.0 * f.f1 * g.f1 + f.f0 * g.f2,
-            f.f3 * g.f0 + 3.0 * f.f2 * g.f1 + 3.0 * f.f1 * g.f2 + f.f0 * g.f3,
-        )
+        return Jet([_conv(self.c, g.c, k) for k in range(max(len(self.c), len(g.c)))])
 
     def __truediv__(self, g):
-        # Solve f = q*g order by order.
-        q0 = self.f0 / g.f0
-        q1 = (self.f1 - q0 * g.f1) / g.f0
-        q2 = (self.f2 - 2.0 * q1 * g.f1 - q0 * g.f2) / g.f0
-        q3 = (self.f3 - 3.0 * q2 * g.f1 - 3.0 * q1 * g.f2 - q0 * g.f3) / g.f0
-        return Jet(q0, q1, q2, q3)
+        # Solve self = q * g one order at a time.
+        a, q = self.c, []
+        for k in range(max(len(a), len(g.c))):
+            q.append(_quotient(a[k] if k < len(a) else 0.0, q, g.c))
+        return Jet(q)
 
-    # -- composition --------------------------------------------------------
+    def compose(self, value, rate):
+        """f(self) from its value f(c[0]) and its first-derivative rule.
 
-    def chain(self, u0, u1, u2, u3):
-        """Compose with an outer function given its derivatives at f0."""
-        g1, g2, g3 = self.f1, self.f2, self.f3
-        return Jet(
-            u0,
-            u1 * g1,
-            u2 * g1 * g1 + u1 * g2,
-            u3 * g1 ** 3 + 3.0 * u2 * g1 * g2 + u1 * g3,
-        )
+        Matching coefficients of v' = f'(u) u' gives each v_k from the
+        coefficients r_0..r_{k-1} of f'(u); rate(u, v, r) returns the next
+        one, r_m with m = len(r), from v_0..v_m and r_0..r_{m-1}.
+        """
+        u, v, r = self.c, [value], []
+        for k in range(1, len(u)):
+            r.append(rate(u, v, r))
+            v.append(_step(u, r, k))
+        return Jet(v)
 
     def int_power(self, n: int):
         if n == 0:
-            return Jet(np.ones_like(np.asarray(self.f0, dtype=float)))
+            return Jet([np.ones_like(np.asarray(self.c[0], dtype=float))])
         if n < 0:
-            return Jet.constant(1.0) / self.int_power(-n)
+            return Jet([1.0]) / self.int_power(-n)
         out = self
         for _ in range(n - 1):
             out = out * self
         return out
 
-    def float_power(self, c: float):
-        base = np.asarray(self.f0, dtype=float)
+    def float_power(self, p: float):
+        # (u^p)' = p u^p u'/u, so r = f'(u) solves r u = p v.
+        base = np.asarray(self.c[0], dtype=float)
         if np.any(base <= 0):
             raise ExpressionError("fractional power of a non-positive base")
-        return self.chain(base ** c, c * base ** (c - 1.0),
-                          c * (c - 1.0) * base ** (c - 2.0),
-                          c * (c - 1.0) * (c - 2.0) * base ** (c - 3.0))
+        return self.compose(base ** p, lambda u, v, r: _quotient(p * v[len(r)], r, u))
 
 
-def _fn_sin(g):
-    s, c = np.sin(g.f0), np.cos(g.f0)
-    return g.chain(s, c, -s, -c)
-
-
-def _fn_cos(g):
-    s, c = np.sin(g.f0), np.cos(g.f0)
-    return g.chain(c, -s, -c, s)
-
-
-def _fn_sinh(g):
-    s, c = np.sinh(g.f0), np.cosh(g.f0)
-    return g.chain(s, c, s, c)
-
-
-def _fn_cosh(g):
-    s, c = np.sinh(g.f0), np.cosh(g.f0)
-    return g.chain(c, s, c, s)
-
-
-def _fn_tanh(g):
-    t = np.tanh(g.f0)
-    u1 = 1.0 - t * t
-    u2 = -2.0 * t * u1
-    u3 = (6.0 * t * t - 2.0) * u1
-    return g.chain(t, u1, u2, u3)
-
-
-def _fn_exp(g):
-    e = np.exp(g.f0)
-    return g.chain(e, e, e, e)
-
-
-def _fn_ln(g):
-    v = np.asarray(g.f0, dtype=float)
-    if np.any(v <= 0):
+def _log(u0):
+    u0 = np.asarray(u0, dtype=float)
+    if np.any(u0 <= 0):
         raise ExpressionError("ln of a non-positive argument")
-    return g.chain(np.log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
+    return np.log(u0)
 
 
+def _swing(slope, sign):
+    """Rate of f with f' = g and g' = sign*f (sin/cos, sinh/cosh): r_0 = g(u_0)."""
+    return lambda u, v, r: sign * _step(u, v, len(r)) if r else slope(u[0])
+
+
+# name -> (value, first-derivative rule as a Jet.compose rate)
 _FUNCTIONS = {
-    "sin": _fn_sin,
-    "cos": _fn_cos,
-    "sinh": _fn_sinh,
-    "cosh": _fn_cosh,
-    "tanh": _fn_tanh,
-    "exp": _fn_exp,
-    "ln": _fn_ln,
+    "sin": (np.sin, _swing(np.cos, -1.0)),
+    "cos": (np.cos, _swing(lambda t: -np.sin(t), -1.0)),
+    "sinh": (np.sinh, _swing(np.cosh, 1.0)),
+    "cosh": (np.cosh, _swing(np.sinh, 1.0)),
+    "tanh": (np.tanh, lambda u, v, r: (0.0 if r else 1.0) - _conv(v, v, len(r))),
+    "exp": (np.exp, lambda u, v, r: v[len(r)]),
+    "ln": (_log, lambda u, v, r: _quotient(0.0 if r else 1.0, r, u)),
 }
+
+
+def _apply(name: str, g: Jet) -> Jet:
+    value, rate = _FUNCTIONS[name]
+    return g.compose(value(g.c[0]), rate)
+
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _literal_number(node):
     """Float value of a Constant or negated Constant node, else None."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+    if isinstance(node, ast.Constant) and _is_number(node.value):
         return float(node.value)
     if (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)):
         inner = _literal_number(node.operand)
@@ -182,7 +184,7 @@ def _compile(text: str) -> ast.expr:
 
 def _check(node: ast.expr, text: str):
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if not _is_number(node.value):
             raise ExpressionError(f"unsupported literal {node.value!r} in {text!r}")
         return
     if isinstance(node, ast.Name):
@@ -215,14 +217,14 @@ def _check(node: ast.expr, text: str):
 
 def _eval_node(node: ast.expr, var: Jet) -> Jet:
     if isinstance(node, ast.Constant):
-        return Jet.constant(node.value)
+        return Jet([float(node.value)])
     if isinstance(node, ast.Name):
-        return var if node.id == "x" else Jet.constant(_CONSTANTS[node.id])
+        return var if node.id == "x" else Jet([_CONSTANTS[node.id]])
     if isinstance(node, ast.UnaryOp):
         inner = _eval_node(node.operand, var)
         return -inner if isinstance(node.op, ast.USub) else inner
     if isinstance(node, ast.Call):
-        return _FUNCTIONS[node.func.id](_eval_node(node.args[0], var))
+        return _apply(node.func.id, _eval_node(node.args[0], var))
     # BinOp is all that remains after _check.
     left = _eval_node(node.left, var)
     if isinstance(node.op, ast.Pow):
@@ -232,7 +234,7 @@ def _eval_node(node: ast.expr, var: Jet) -> Jet:
                 return left.int_power(int(exponent))
             return left.float_power(exponent)
         right = _eval_node(node.right, var)
-        return _fn_exp(right * _fn_ln(left))
+        return _apply("exp", right * _apply("ln", left))
     right = _eval_node(node.right, var)
     if isinstance(node.op, ast.Add):
         return left + right
@@ -246,27 +248,20 @@ def _eval_node(node: ast.expr, var: Jet) -> Jet:
 def parse_generator(text: str, scale_hint: float = 1.0, label: str = "") -> GeneratorFunction:
     """Compile an expression in x into a GeneratorFunction.
 
-    Derivatives up to order three come from evaluating the tree over jets,
-    so they are exact (to roundoff) wherever the expression is defined.
+    Derivative k comes from walking the tree over jets of order k, so it is
+    exact (to roundoff) wherever the expression is defined.
     """
     tree = _compile(text)
 
-    def jet_at(x) -> Jet:
-        return _eval_node(tree, Jet.variable(x))
-
-    def broadcast(component):
-        def call(x):
+    def order(k: int):
+        def field(x):
             x = np.asarray(x, dtype=float)
-            out = component(jet_at(x))
+            c = _eval_node(tree, Jet.variable(x, k)).c
+            out = c[k] if k < len(c) else 0.0
+            out = out * math.factorial(k) if k > 1 else out
             return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy() \
                 if np.ndim(out) == 0 and x.ndim > 0 else out
-        return call
+        return field
 
-    return GeneratorFunction(
-        broadcast(lambda j: j.f0),
-        broadcast(lambda j: j.f1),
-        broadcast(lambda j: j.f2),
-        broadcast(lambda j: j.f3),
-        float(scale_hint),
-        label or text,
-    )
+    return GeneratorFunction(order(0), order(1), order(2), order(3),
+                             float(scale_hint), label or text)

@@ -139,10 +139,11 @@ class TestValidation:
             "sinh-potential-overflows", "table-overflows"])
     def test_out_of_range_input_is_a_usage_error(self, args, message, tmp_path, capsys):
         table = tmp_path / "table.csv"
-        code, _, err = run(args + ["--emit", str(table)] if args[0] == "build" else args,
-                           capsys)
+        code, out, err = run(args + ["--emit", str(table)] if args[0] == "build" else args,
+                             capsys)
         assert code == 2
         assert err.startswith("error:") and message in err
+        assert out == ""
         assert not table.exists()
 
     def test_inadmissible_expression(self, capsys):
@@ -353,15 +354,30 @@ def assert_summary_run(proc):
     assert proc.stdout.startswith("family=poly-wplus"), proc.stderr
 
 
-def test_console_entry_point():
-    """The ``qes`` script declared in pyproject.toml runs ``build``, installed or not."""
+def source_env():
+    """The environment with the imported qespair's directory first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(qespair.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_entry_point():
+    """The ``qes`` script declared in pyproject.toml runs ``build``, installed or not."""
     proc = subprocess.run([sys.executable, "-c", WRAPPER, declared_script("qes"),
                            *ENTRY_ARGS],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=source_env(), timeout=120)
     assert_summary_run(proc)
+
+
+def test_import_loads_no_test_only_package():
+    """``import qespair`` leaves the test-only heavyweights unloaded."""
+    code = ("import sys, qespair; "
+            "print(sorted({'sympy', 'mpmath', 'hypothesis'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=source_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(shutil.which("qes") is None, reason="qes console script not installed")

@@ -119,6 +119,8 @@ def test_scalar_in_scalar_out():
     ("x^65", "exceeds the cap"),
     ("[1, 2]", "unsupported"),
     ("'abc'", "unsupported literal"),
+    ("x + True", "unsupported literal"),
+    ("x^False", "unsupported literal"),
 ])
 def test_rejected_expressions(bad, fragment):
     with pytest.raises(ExpressionError, match=fragment):
@@ -134,21 +136,91 @@ def test_domain_errors_surface_at_evaluation():
 
 class TestJetAlgebra:
     def test_division_inverts_multiplication(self):
-        x = Jet.variable(0.7)
-        num = x * x + Jet.constant(1.0)
+        x = Jet.variable(0.7, 3)
+        num = x * x + Jet([1.0])
         back = (num * x) / x
-        for a, b in zip((back.f0, back.f1, back.f2, back.f3),
-                        (num.f0, num.f1, num.f2, num.f3)):
+        assert len(back.c) == len(num.c) == 4
+        for a, b in zip(back.c, num.c):
             assert a == pytest.approx(b, rel=1e-13, abs=1e-13)
 
     def test_int_power_matches_repeated_product(self):
-        x = Jet.variable(1.3)
+        x = Jet.variable(1.3, 3)
         cube = x.int_power(3)
         manual = x * x * x
-        assert (cube.f0, cube.f1, cube.f2, cube.f3) == (
-            manual.f0, manual.f1, manual.f2, manual.f3)
+        assert [float(v) for v in cube.c] == [float(v) for v in manual.c]
 
     def test_zeroth_power_is_one(self):
-        x = Jet.variable(2.0)
+        x = Jet.variable(2.0, 3)
         unit = x.int_power(0)
-        assert (float(unit.f0), float(unit.f1)) == (1.0, 0.0)
+        # An order-zero jet: every coefficient after the value reads as zero.
+        assert [float(v) for v in unit.c] == [1.0]
+        assert [float(v) for v in (unit * x).c] == [float(v) for v in x.c]
+        assert float(parse_generator("x^0").deriv1(2.0)) == 0.0
+
+
+EVERY_FUNCTION = ("sin(x) + cos(x)*sinh(x/2) - cosh(x)/(2 + tanh(x)) + exp(-x^2)"
+                  " + ln(1 + x^2) + (2 + sin(x))^0.5 + (1 + x^2)^x + x^-2")
+
+
+def test_each_field_walks_only_to_its_own_order(monkeypatch):
+    lengths = []
+    init = Jet.__init__
+
+    def recording(self, c):
+        lengths.append(len(c))
+        init(self, c)
+
+    monkeypatch.setattr(Jet, "__init__", recording)
+    g = parse_generator(EVERY_FUNCTION)
+    longest = []
+    for field in (g.eval, g.deriv1, g.deriv2, g.deriv3):
+        lengths.clear()
+        assert np.all(np.isfinite(field(np.linspace(0.2, 1.4, 5))))
+        longest.append(max(lengths))
+    assert longest == [1, 2, 3, 4]
+
+
+def random_trees():
+    """Expression strings over the whole grammar, kept inside every domain.
+
+    ln and fractional or negative powers see arguments >= 1, divisors are
+    2 + cos(...), and general exponents are tanh(...).
+    """
+    def grow(sub):
+        pair = st.tuples(sub, sub)
+        return st.one_of(
+            st.tuples(sub, st.sampled_from("+-*"), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            pair.map(lambda t: f"({t[0]})/(2 + cos({t[1]}))"),
+            st.tuples(sub, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(sub, st.sampled_from(["-3", "-1", "0.5", "-0.5", "1.5"])).map(
+                lambda t: f"(2 + sin({t[0]}))^{t[1]}"),
+            pair.map(lambda t: f"(1 + ({t[0]})^2)^tanh({t[1]})"),
+            sub.map(lambda a: f"ln(1 + ({a})^2)"),
+            *(sub.map(lambda a, name=name: f"{name}({a})")
+              for name in ("sin", "cos", "sinh", "cosh", "tanh", "exp")),
+        )
+    return st.recursive(st.sampled_from(["x", "(x - 0.5)", "1.25*x", "pi"]), grow,
+                        max_leaves=3)
+
+
+ORACLE_POINTS = np.array([-1.5, -0.4, 0.7, 1.5])
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_trees())
+def test_every_order_matches_symbolic_derivatives(text):
+    """Each field agrees with sympy.diff of the same string, evaluated at 30 digits."""
+    sympy = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    x = sympy.Symbol("x")
+    tower = [sympy.sympify(text.replace("^", "**"), locals={"x": x}, rational=True)]
+    for _ in range(3):
+        tower.append(sympy.diff(tower[-1], x))
+    reference = sympy.lambdify(x, tower, "mpmath")
+    with mpmath.workdps(30):
+        want = np.array([[float(v) for v in reference(mpmath.mpf(float(p)))]
+                         for p in ORACLE_POINTS]).T
+    g = parse_generator(text)
+    for k, field in enumerate((g.eval, g.deriv1, g.deriv2, g.deriv3)):
+        err = np.abs(field(ORACLE_POINTS) - want[k])
+        assert np.all(err <= 1e-9 * np.maximum(1.0, np.abs(want[k]))), (k, text)
