@@ -216,9 +216,9 @@ def _summary_line(cfg: ModelConfig, model) -> str:
 
 def _emit_table(model, grid: Grid, path: str):
     names = ["x", "v_minus", "v_plus", "w", "w1", "psi0", "psi1"]
-    fns = (model.potentials.v_minus, model.potentials.v_plus, model.W.w, model.W1.w,
-           model.psi0.psi, model.psi1.psi)
-    columns = [grid.points()] + [_sample_finite(f, grid, n) for n, f in zip(names[1:], fns)]
+    fns = (model.potentials.v_minus, model.potentials.v_plus, model.W.w, model.W1.w)
+    columns = ([grid.points()] + [_sample_finite(f, grid, n) for n, f in zip(names[1:], fns)]
+               + _sample_finite(model.states, grid, *names[5:]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
@@ -284,7 +284,7 @@ def cmd_spectrum(args) -> int:
     model = make_model(cfg)
     grid = _resolve_grid(cfg, model)
     _require_levels(grid, n_max + 1)
-    energies, _ = eigensolve(model.potentials.v_minus, grid, n_max + 1)
+    energies, _ = eigensolve(model.potentials.v_minus, grid, n_max + 1, vectors=False)
 
     if spec is not None and spec.exact_spectrum is not None:
         analytic = spec.exact_spectrum(params, n_max)

@@ -20,7 +20,7 @@ eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,7 +60,11 @@ def probe_grid(x0: float, scale_hint: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QesModel:
-    """A constructed model: superpotential pair, potentials, and two states."""
+    """A constructed model: superpotential pair, potentials, and two states.
+
+    On the phi route ``phi`` is the seed itself, the ratio psi1/psi0;
+    on the W_plus route it is None.
+    """
 
     W: Superpotential
     W1: Superpotential
@@ -73,9 +77,22 @@ class QesModel:
     scale_hint: float
     provenance: dict
     closed_form: Optional["ClosedForms"] = None
+    phi: Optional[Callable] = None
 
     def probe_points(self) -> np.ndarray:
         return probe_grid(self.x0, self.scale_hint)
+
+    def states(self, x):
+        """(psi0, psi1) sampled on the array x.
+
+        On the phi route psi1 = phi * psi0 reuses the one psi0 sample and its
+        quadrature; its bits are those of psi1.psi(x).
+        """
+        x = np.asarray(x, dtype=float)
+        psi0 = self.psi0.psi(x)
+        if self.phi is None:
+            return psi0, self.psi1.psi(x)
+        return psi0, self.phi(x) * psi0
 
 
 @dataclass(frozen=True)
@@ -98,7 +115,8 @@ def find_single_zero(f: GeneratorFunction, search_radius=None) -> float:
     name = f.label or "W+"
     radius = PROBE_HALF_WIDTH * f.scale_hint if search_radius is None else float(search_radius)
     xs = np.linspace(-radius, radius, PROBE_POINTS)
-    vals = np.asarray(f.eval(xs), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = np.asarray(f.eval(xs), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise GeneratorAdmissibilityError(f"{name} is not finite everywhere on the scan grid")
 
@@ -154,6 +172,30 @@ def _admissibility_gate(W: Superpotential, W1: Superpotential):
                 f"(right {chk.right_samples}, left {chk.left_samples})")
 
 
+def _superpotential(gen: GeneratorFunction, w_of, wprime_of, order: int,
+                    x0: float, label: str) -> Superpotential:
+    """W from w_of(x, g_0..g_{order-1}) and wprime_of(x, g_0..g_order), where
+    g_k is the k-th derivative of gen at x.
+
+    w and the joint (w, w') sampler each evaluate every order of gen they need
+    once; w' is the second half of the joint sample.
+    """
+    orders = (gen.eval, gen.deriv1, gen.deriv2, gen.deriv3)[:order + 1]
+
+    def w(x):
+        x = np.asarray(x, dtype=float)
+        return w_of(x, *(f(x) for f in orders[:-1]))
+
+    def w_and_wprime(x):
+        x = np.asarray(x, dtype=float)
+        g = [f(x) for f in orders]
+        return w_of(x, *g[:-1]), wprime_of(x, *g)
+
+    sp = make_superpotential(w, lambda x: w_and_wprime(x)[1], base_point=x0,
+                             scale_hint=gen.scale_hint, label=label)
+    return replace(sp, w_and_wprime=w_and_wprime)
+
+
 def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
     """Construct a model from the combined superpotential W_plus = W + W1."""
     x0 = find_single_zero(w_plus)
@@ -169,38 +211,37 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
     c1 = d3_0 / (2.0 * d1_0) - d2_0 * d2_0 / (2.0 * d1_0 * d1_0)
 
     def half(sign):
-        """W (sign -1) or W1 (sign +1) as (W+ + sign*R)/2, with its slope."""
+        """W (sign -1) or W1 (sign +1) as (W+ + sign*R)/2, with its slope,
+        from wp, d1, d2 = W+, W+', W+'' at x."""
 
-        def w(x):
-            x = np.asarray(x, dtype=float)
+        def w(x, wp, d1):
             t = x - x0
             near = np.abs(t) < delta
-            wp = w_plus.eval(x)
-            r = np.where(near, c0 + c1 * t, (w_plus.deriv1(x) - d1_0) / np.where(near, 1.0, wp))
+            r = np.where(near, c0 + c1 * t, (d1 - d1_0) / np.where(near, 1.0, wp))
             return 0.5 * (wp + sign * r)
 
-        def wprime(x):
-            x = np.asarray(x, dtype=float)
+        def wprime(x, wp, d1, d2):
             near = np.abs(x - x0) < delta
-            wp = np.where(near, 1.0, w_plus.eval(x))
-            d1 = w_plus.deriv1(x)
-            r1 = np.where(near, c1, w_plus.deriv2(x) / wp - (d1 - d1_0) * d1 / (wp * wp))
+            wp = np.where(near, 1.0, wp)
+            r1 = np.where(near, c1, d2 / wp - (d1 - d1_0) * d1 / (wp * wp))
             return 0.5 * (d1 + sign * r1)
 
         return w, wprime
 
-    W = make_superpotential(*half(-1.0), base_point=x0, scale_hint=s, label="W")
-    W1 = make_superpotential(*half(1.0), base_point=x0, scale_hint=s, label="W1")
+    W = _superpotential(w_plus, *half(-1.0), 2, x0, "W")
+    W1 = _superpotential(w_plus, *half(1.0), 2, x0, "W1")
     _admissibility_gate(W, W1)
 
     psi0 = ground_state_minus(W)
     integral1 = W1.integral
+    w1, _ = half(1.0)
 
     def psi1_fn(x):
         return w_plus.eval(x) * np.exp(-integral1(x))
 
     def psi1_prime(x):
-        return (w_plus.deriv1(x) - w_plus.eval(x) * W1.w(x)) * np.exp(-integral1(x))
+        wp, d1 = w_plus.eval(x), w_plus.deriv1(x)
+        return (d1 - wp * w1(x, wp, d1)) * np.exp(-integral1(x))
 
     psi1 = Eigenstate(eps, _scalar_friendly(psi1_fn), 1, _scalar_friendly(psi1_prime))
 
@@ -235,7 +276,8 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
     s = phi.scale_hint
 
     def require_increasing(points):
-        slopes = np.asarray(phi.deriv1(points), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            slopes = np.asarray(phi.deriv1(points), dtype=float)
         if not np.all(slopes > 0):
             worst = float(points[np.argmin(slopes)])
             raise PhiNotMonotoneError(
@@ -248,25 +290,25 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
     require_increasing(probe_grid(x0, s))
 
     def half(sign):
-        """W (sign -1) or W1 (sign +1) as (W+ + sign*R)/2, with its slope.
+        """W (sign -1) or W1 (sign +1) as (W+ + sign*R)/2, with its slope,
+        from p0..p3 = phi and its first three derivatives at x.
 
         Here W+ = 2 eps phi/phi' and R = -phi''/phi'.
         """
 
-        def w(x):
-            return (eps * phi.eval(x) - sign * (0.5 * phi.deriv2(x))) / phi.deriv1(x)
+        def w(x, p0, p1, p2):
+            return (eps * p0 - sign * (0.5 * p2)) / p1
 
-        def wprime(x):
-            p1, p2 = phi.deriv1(x), phi.deriv2(x)
-            num = eps * phi.eval(x) - sign * (0.5 * p2)
-            return (eps * p1 - sign * (0.5 * phi.deriv3(x))) / p1 - num * p2 / (p1 * p1)
+        def wprime(x, p0, p1, p2, p3):
+            num = eps * p0 - sign * (0.5 * p2)
+            return (eps * p1 - sign * (0.5 * p3)) / p1 - num * p2 / (p1 * p1)
 
         return w, wprime
 
-    w, wprime = half(-1.0)
-    W = make_superpotential(w, wprime, base_point=x0, scale_hint=s, label="W")
-    W1 = make_superpotential(*half(1.0), base_point=x0, scale_hint=s, label="W1")
+    W = _superpotential(phi, *half(-1.0), 3, x0, "W")
+    W1 = _superpotential(phi, *half(1.0), 3, x0, "W1")
     _admissibility_gate(W, W1)
+    w = W.w
 
     shape_integral = cumulative_integral(lambda x: phi.eval(x) / phi.deriv1(x),
                                          x0, scale_hint=s)
@@ -297,7 +339,7 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
         "numeric_derivatives": phi.numeric_derivatives,
     }
     return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1,
-                    _scalar_friendly(w_plus), s, provenance)
+                    _scalar_friendly(w_plus), s, provenance, phi=phi.eval)
 
 
 @dataclass(frozen=True)
@@ -356,16 +398,15 @@ def cross_check_constructions(phi: GeneratorFunction, epsilon: float) -> CrossCh
     xs = model_b.probe_points()
     v_diff = np.max(np.abs(model_a.potentials.v_minus(xs) - model_b.potentials.v_minus(xs)))
 
-    def normalized(fn):
-        vals = np.asarray(fn(xs), dtype=float)
+    def normalized(vals):
+        vals = np.asarray(vals, dtype=float)
         return vals / math.sqrt(float(vals @ vals))
 
-    def aligned_gap(fa, fb):
-        a, b = normalized(fa), normalized(fb)
+    def aligned_gap(va, vb):
+        a, b = normalized(va), normalized(vb)
         if float(a @ b) < 0:
             a = -a
         return float(np.max(np.abs(a - b)))
 
-    p0 = aligned_gap(model_a.psi0.psi, model_b.psi0.psi)
-    p1 = aligned_gap(model_a.psi1.psi, model_b.psi1.psi)
+    p0, p1 = (aligned_gap(a, b) for a, b in zip(model_a.states(xs), model_b.states(xs)))
     return CrossCheckResult(float(v_diff), p0, p1, model_b, model_a)

@@ -56,13 +56,18 @@ def _scalar_friendly(fn):
 
 @dataclass(frozen=True)
 class Superpotential:
-    """W(x) with its derivative and an anchored primitive int W dx."""
+    """W(x) with its derivative and an anchored primitive int W dx.
+
+    w_and_wprime, when set, samples (W, W') together on an array from shared
+    generator samples; without it the pair is taken from w and wprime.
+    """
 
     w: Callable
     wprime: Callable
     integral: CumulativeIntegral
     scale_hint: float = 1.0
     label: str = "W"
+    w_and_wprime: Optional[Callable] = None
 
 
 def make_superpotential(w, wprime, base_point=0.0, scale_hint=1.0, label="W") -> Superpotential:
@@ -95,15 +100,20 @@ class Eigenstate:
 
 
 def pair_potentials(W: Superpotential) -> PotentialPair:
-    """V_minus = (W^2 - W')/2 and V_plus = (W^2 + W')/2 as callables."""
+    """V_minus = (W^2 - W')/2 and V_plus = (W^2 + W')/2 as callables.
+
+    Each sample takes W and W' from one joint W.w_and_wprime call when the
+    superpotential has one.
+    """
+    sample = W.w_and_wprime or (lambda x: (W.w(x), W.wprime(x)))
 
     def v_minus(x):
-        w = W.w(x)
-        return 0.5 * (w * w - W.wprime(x))
+        w, wprime = sample(x)
+        return 0.5 * (w * w - wprime)
 
     def v_plus(x):
-        w = W.w(x)
-        return 0.5 * (w * w + W.wprime(x))
+        w, wprime = sample(x)
+        return 0.5 * (w * w + wprime)
 
     return PotentialPair(_scalar_friendly(v_minus), _scalar_friendly(v_plus))
 

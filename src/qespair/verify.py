@@ -87,20 +87,19 @@ def auto_grid(model: QesModel, target_decay: float = 1e-12, n_points: int = 4001
 
     L is scanned outward in steps of the model's scale hint until both
     |psi0| and |psi1| at +-L drop below target_decay times their own peak,
-    capped at 50 scale hints (with a diagnostic when the cap bites).
+    capped at 50 scale hints (with a diagnostic when the cap bites).  Each
+    step samples both states at [L, -L] in one model.states call.
     """
     s = model.scale_hint
     span = np.linspace(model.x0 - 10.0 * s, model.x0 + 10.0 * s, 801)
-    peak0 = float(np.max(np.abs(model.psi0.psi(span))))
-    peak1 = float(np.max(np.abs(model.psi1.psi(span))))
+    peaks = [float(np.max(np.abs(p))) for p in model.states(span)]
 
     steps = max(1, math.ceil((abs(model.x0) + s) / s))
     cap = 50
     while steps <= cap:
         L = steps * s
-        edges0 = max(abs(float(model.psi0.psi(L))), abs(float(model.psi0.psi(-L))))
-        edges1 = max(abs(float(model.psi1.psi(L))), abs(float(model.psi1.psi(-L))))
-        if edges0 <= target_decay * peak0 and edges1 <= target_decay * peak1:
+        edges = [max(np.abs(p).tolist()) for p in model.states(np.array([L, -L]))]
+        if all(e <= target_decay * peak for e, peak in zip(edges, peaks)):
             return Grid(L, n_points)
         steps += 1
     if warn_sink is not None:
@@ -110,22 +109,31 @@ def auto_grid(model: QesModel, target_decay: float = 1e-12, n_points: int = 4001
     return Grid(cap * s, n_points)
 
 
-def _sample_finite(fn: Callable, grid: Grid, name: str) -> np.ndarray:
-    """fn on the grid points; QueryRangeError naming fn where a value is not finite."""
+def _sample_finite(fn: Callable, grid: Grid, *names: str):
+    """fn on the grid points; QueryRangeError naming the first sample that is
+    not finite.
+
+    With one name fn returns one array and one array comes back; with several
+    fn returns one sample per name (as QesModel.states does) and a list does.
+    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = np.asarray(fn(grid.points()), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise QueryRangeError(f"{name} is not finite on the grid [-{grid.L!r}, {grid.L!r}]")
-    return values
+        samples = fn(grid.points())
+    samples = [np.asarray(v, dtype=float) for v in (samples if len(names) > 1 else [samples])]
+    for values, name in zip(samples, names):
+        if not np.all(np.isfinite(values)):
+            raise QueryRangeError(f"{name} is not finite on the grid [-{grid.L!r}, {grid.L!r}]")
+    return samples if len(names) > 1 else samples[0]
 
 
-def eigensolve(v: Callable, grid: Grid, k: int):
+def eigensolve(v: Callable, grid: Grid, k: int, vectors: bool = True):
     """Lowest k eigenpairs of the boxed Hamiltonian -(1/2) d2/dx2 + v.
 
     Returns (energies ascending, eigenvectors as columns, l2-normalized).
     The tridiagonal problem is solved by bisection plus inverse iteration,
     which is machine-accurate for the discrete operator; what remains is the
-    O(h^2) discretization error of the stencil itself.
+    O(h^2) discretization error of the stencil itself.  With vectors=False
+    the inverse iteration is skipped and (energies, None) comes back; the
+    bisection is the same, so the energies keep their bits.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -135,8 +143,10 @@ def eigensolve(v: Callable, grid: Grid, k: int):
     h2 = grid.h * grid.h
     diag = 1.0 / h2 + pot
     off = np.full(grid.N - 1, -0.5 / h2)
-    energies, vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-    return energies, vectors
+    if not vectors:
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(0, k - 1)), None
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
 
 
 def inner_product(f: Callable, g: Callable, grid: Grid) -> float:
@@ -205,17 +215,6 @@ class SpectralReport:
         return asdict(self)
 
 
-def _schrodinger_residual(psi: Callable, energy: float, v: Callable,
-                          x: np.ndarray, fd_step: float):
-    """Sup of |-(1/2) psi'' + (V - E) psi| with a small central stencil."""
-    h = fd_step
-    p = np.asarray(psi(x), dtype=float)
-    lap = (np.asarray(psi(x + h), dtype=float) - 2.0 * p
-           + np.asarray(psi(x - h), dtype=float)) / (h * h)
-    r = -0.5 * lap + (np.asarray(v(x), dtype=float) - energy) * p
-    return float(np.max(np.abs(r))), float(np.max(np.abs(p)))
-
-
 def verify_model(model: QesModel, grid: Optional[Grid] = None,
                  tolerances: Optional[Tolerances] = None) -> SpectralReport:
     """Run the full battery of independent checks against a model.
@@ -239,13 +238,12 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     tol_e = tol.energy_effective(eps)
 
     e_minus, vec_minus = eigensolve(model.potentials.v_minus, grid, VERIFY_LEVELS)
-    e_plus, vec_plus = eigensolve(model.potentials.v_plus, grid, 3)
+    e_plus, _ = eigensolve(model.potentials.v_plus, grid, 3, vectors=False)
 
     energy_errors = [abs(float(e_minus[0])), abs(float(e_minus[1]) - eps)]
     check_energy = all(err < tol_e for err in energy_errors)
 
-    psi0_s = np.asarray(model.psi0.psi(x), dtype=float)
-    psi1_s = np.asarray(model.psi1.psi(x), dtype=float)
+    psi0_s, psi1_s = (np.asarray(p, dtype=float) for p in model.states(x))
 
     def cosine_gap(samples, vec):
         num = abs(float(samples @ vec))
@@ -274,11 +272,14 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     res_x = np.linspace(model.x0 - 6.0 * model.scale_hint,
                         model.x0 + 6.0 * model.scale_hint, 200)
     fd_step = 3e-4 * model.scale_hint
-    residual_sups = []
-    for state in (model.psi0, model.psi1):
-        sup_r, sup_p = _schrodinger_residual(state.psi, state.energy,
-                                             model.potentials.v_minus, res_x, fd_step)
-        residual_sups.append(sup_r / sup_p)
+    stencil = model.states(np.concatenate([res_x, res_x + fd_step, res_x - fd_step]))
+    v_res = np.asarray(model.potentials.v_minus(res_x), dtype=float)
+    residual_sups = []  # sup |-(1/2) psi'' + (V - E) psi| / sup |psi|, central stencil
+    for state, samples in zip((model.psi0, model.psi1), stencil):
+        p, right, left = np.split(np.asarray(samples, dtype=float), 3)
+        lap = (right - 2.0 * p + left) / (fd_step * fd_step)
+        r = -0.5 * lap + (v_res - state.energy) * p
+        residual_sups.append(float(np.max(np.abs(r))) / float(np.max(np.abs(p))))
     check_residual = all(r < tol.residual_scale * max(1.0, eps) for r in residual_sups)
 
     norms = [1.0 / math.sqrt(float(n0)), 1.0 / math.sqrt(float(n1))]

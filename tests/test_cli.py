@@ -135,8 +135,15 @@ class TestValidation:
         (["verify", "--family", "sinh-wplus", "--grid-l", "1e60"], "not finite on the grid"),
         (["build", "--family", "sinh-wplus", "--grid-l", "400", "--grid-n", "5"],
          "v_minus is not finite on the grid"),
+        (["build", "--family", "custom", "--expr", "1/x"],
+         "1/x is not finite everywhere on the scan grid"),
+        (["build", "--family", "custom", "--expr", "x + 1e308*x^3"],
+         "is not finite everywhere on the scan grid"),
+        (["build", "--family", "custom", "--expr", "1/x", "--epsilon", "1"],
+         "1/x is not monotonically increasing"),
     ], ids=["potential-overflows", "box-beyond-the-panel-range", "negative-scale-hint",
-            "sinh-potential-overflows", "table-overflows"])
+            "sinh-potential-overflows", "table-overflows", "seed-pole-on-the-scan",
+            "seed-overflows-on-the-scan", "phi-slope-pole"])
     def test_out_of_range_input_is_a_usage_error(self, args, message, tmp_path, capsys):
         table = tmp_path / "table.csv"
         code, out, err = run(args + ["--emit", str(table)] if args[0] == "build" else args,

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qespair import construct
 from qespair.construct import (build_from_phi, build_from_wplus, cross_check_constructions,
                                epsilon_from_wplus, find_single_zero)
 from qespair.errors import (GeneratorAdmissibilityError, ParameterError,
                             PhiNotMonotoneError)
 from qespair.expressions import parse_generator
+from qespair.families import FAMILIES
 from qespair.functions import make_analytic
 from qespair.susy import riccati_residual
+from qespair.verify import Grid, auto_grid, verify_model
 
 
 def cubic_phi():
@@ -61,11 +64,55 @@ def test_each_generator_order_is_evaluated_once_per_sample(route):
         gen, calls = counted(cubic_phi())
         model = build_from_phi(gen, 1.0)
     xs = np.linspace(-2.0, 2.0, 9)
-    for name in ("W.w", "W1.w", "W.wprime", "W1.wprime"):
+    for name in ("W.w", "W1.w", "W.wprime", "W1.wprime",
+                 "potentials.v_minus", "potentials.v_plus"):
         sp, attr = name.split(".")
         calls.clear()
         getattr(getattr(model, sp), attr)(xs)
         assert calls and max(calls.values()) == 1, (name, dict(calls))
+
+
+STATE_MODELS = {
+    **{name: (lambda spec=spec: spec.build(dict(spec.defaults)))
+       for name, spec in FAMILIES.items()},
+    "custom-wplus": lambda: build_from_wplus(parse_generator("sinh(x - 0.4)")),
+    "custom-phi": lambda: build_from_phi(parse_generator("x + tanh(x)"), 1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_MODELS))
+def test_joint_states_equal_each_state_bitwise(name):
+    model = STATE_MODELS[name]()
+    assert (model.phi is None) == (model.provenance["route"] == "wplus-generator")
+    grid = auto_grid(model)
+    edges = np.array([grid.L, -grid.L])
+    for xs, single in ((grid.points(), False), (edges, True)):
+        for joint, state in zip(model.states(xs), (model.psi0, model.psi1)):
+            alone = [state.psi(float(x)) for x in xs] if single else state.psi(xs)
+            assert np.array_equal(joint, alone), name
+
+
+def test_verify_samples_the_shape_quadrature_once_per_point_set(monkeypatch):
+    queries = []
+    original = construct.cumulative_integral
+
+    def recording(integrand, *args, **kwargs):
+        inner = original(integrand, *args, **kwargs)
+
+        def query(x):
+            queries.append(np.asarray(x, dtype=float).tobytes())
+            return inner(x)
+        return query
+
+    # the phi route's only construct-level quadrature is psi0's shape integral
+    monkeypatch.setattr(construct, "cumulative_integral", recording)
+    model = build_from_phi(cubic_phi(), 1.0)
+    queries.clear()
+    verify_model(model, Grid(6.0, 2001))
+    assert len(queries) == 2  # the grid and the residual stencil
+    queries.clear()
+    verify_model(model)
+    assert queries and len(set(queries)) == len(queries)
 
 
 class TestFindSingleZero:

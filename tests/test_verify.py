@@ -73,6 +73,15 @@ class TestEigensolve:
         with pytest.raises(ValueError, match="not finite"):
             eigensolve(bad, Grid(5.0, 101), 1)
 
+    def test_eigenvalues_only_keep_their_bits(self):
+        grid = Grid(8.0, 4001)
+        model = poly_wplus_model(PolyWplusParams(2.0, 1.0))
+        for v in (harmonic, model.potentials.v_plus):
+            energies, vectors = eigensolve(v, grid, 3)
+            alone, none = eigensolve(v, grid, 3, vectors=False)
+            assert none is None and vectors.shape == (4001, 3)
+            assert np.array_equal(alone, energies)
+
 
 class TestCountNodes:
     xs = np.linspace(-6, 6, 601)
