@@ -6,8 +6,9 @@ Everything downstream consumes functions through two small types:
   derivatives and a characteristic length scale.  Callables must accept either
   a float or a numpy array and act elementwise.
 * :class:`CumulativeIntegral` is a primitive of an integrand, anchored so that
-  the value at ``base_point`` is exactly zero.  Prefixes up to panel edges
-  are memoized, so repeated queries only ever pay for new territory.
+  the value at ``base_point`` is exactly zero.  Each filled panel keeps the
+  primitives of its quadrature leaves, so repeated queries only ever pay for
+  new territory.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ _REL_FLOOR = 4.0 * np.finfo(float).eps
 # integrand's temporaries.  Benchmark peak RSS over a per-panel walk: +8.7% at
 # 2048, +5.2% at 1024, +2.2% at 256; 64 saved <1% and ran parsed seeds 1.6x slower.
 _MAX_INTERVALS = 256
-# A query farther out is refused: a fill's memory grows with the panels it
-# spans, and auto_grid's widest box spans 400.
-_MAX_PANELS = 2 ** 20
+# A query farther out is refused: a fill keeps at least two leaves of 21
+# floats per panel it spans (22 MB per side at this cap), and auto_grid's
+# widest box spans 400.
+_MAX_PANELS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,8 @@ def validate_derivatives(f: GeneratorFunction, sample_points, tolerance=1e-5):
 
 
 def _gl16(f, lo, hi):
-    """16-point Gauss-Legendre integrals of f from lo[i] to hi[i], signed.
+    """16-point Gauss-Legendre integrals of f from lo[i] to hi[i], signed, and
+    the integrand samples at each interval's nodes (one row per interval).
 
     Each row is reduced on its own, never by a matrix product, so its bits do
     not depend on which other rows share the call.
@@ -155,6 +158,7 @@ def _gl16(f, lo, hi):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     sums = np.empty_like(lo)
+    nodes = np.empty((lo.size, _GL_NODES.size))
     for start in range(0, lo.size, _MAX_INTERVALS):
         rows = slice(start, start + _MAX_INTERVALS)
         t = mid[rows, None] + half[rows, None] * _GL_NODES
@@ -164,25 +168,121 @@ def _gl16(f, lo, hi):
             raise NonFiniteIntegrandError(
                 f"integrand returned a non-finite value at x={float(t[bad][0])!r}")
         sums[rows] = half[rows] * (y * _GL_WEIGHTS).sum(axis=1)
-    return sums
+        nodes[rows] = y
+    return sums, nodes
+
+
+def _primitive_rows():
+    """P with half*(P[k] . y) the k-th Legendre coefficient, k = 0..16, of the
+    primitive from u = -1 of the degree-15 interpolant through samples y at the
+    16 Gauss nodes of an interval of half-width half.
+    """
+    vander = np.polynomial.legendre.legvander(_GL_NODES, 15).T
+    interpolant = (np.arange(16) + 0.5)[:, None] * vander * _GL_WEIGHTS
+    rows = np.zeros((17, 16))
+    rows[0] = interpolant[0]  # the primitive of P_0 from -1 is P_0 + P_1
+    for k in range(16):  # and of P_k, k >= 1, is (P_{k+1} - P_{k-1}) / (2k+1)
+        rows[k + 1] += interpolant[k] / (2 * k + 1)
+        if k:
+            rows[k - 1] -= interpolant[k] / (2 * k + 1)
+    return rows
+
+
+_PRIMITIVE = _primitive_rows()
+# Stored leaves use the monic basis Q_k = P_k / lead_k, whose Clenshaw step
+# b_k = c_k + u b_{k+1} - G_{k+1} b_{k+2} takes one multiplication fewer.
+_MONIC = np.array([[math.comb(2 * k, k) / 2 ** k] for k in range(len(_PRIMITIVE))])
+_CLENSHAW_G = [k * k / (4 * k * k - 1) for k in range(len(_PRIMITIVE))]
+
+
+def _primitives(nodes, half, rows=_PRIMITIVE):
+    """Legendre coefficients (``rows`` of _PRIMITIVE), one column per row of
+    nodes, of the primitive of each row's 16-node interpolant over an
+    interval of half-width half[i].
+
+    Each coefficient is a row-by-row reduction, like _gl16's sums.
+    """
+    coef = np.empty((len(rows), half.size))
+    for order, weights in enumerate(rows):
+        coef[order] = half * (nodes * weights).sum(axis=1)
+    return coef
 
 
 def _integrate(f, lo, hi, tol, depth=0):
-    """Adaptive GL16 integrals of f from lo[i] to hi[i], signed.
+    """Adaptive GL16 integrals of f from lo[i] to hi[i], signed, and their leaves.
 
     Rows whose whole-interval and two half-interval rules disagree beyond the
-    tolerance are halved again, with half the tolerance.
+    tolerance, or either of whose halves' primitives keeps a Legendre tail
+    (its two highest coefficients) above it, are halved again, with half the
+    tolerance.  The two halves of a row that is not halved again are leaves,
+    returned as (row, offset, lo, hi, nodes): the row each leaf belongs to,
+    the integral from that row's lo to the leaf's lo, the leaf's ends and its
+    16 integrand samples.
     """
+    n = lo.size
     mid = 0.5 * (lo + hi)
-    coarse, left, right = np.split(
-        _gl16(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])), 3)
+    half_lo, half_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    sums, nodes = _gl16(f, np.concatenate([lo, half_lo]), np.concatenate([hi, half_hi]))
+    coarse, left, right = np.split(sums, 3)
     fine = left + right
-    redo = np.abs(fine - coarse) > np.maximum(tol, _REL_FLOOR * np.abs(fine))
-    if depth < _MAX_SPLIT_DEPTH and redo.any():
-        halves = _integrate(f, np.concatenate([lo[redo], mid[redo]]),
-                            np.concatenate([mid[redo], hi[redo]]), 0.5 * tol, depth + 1)
-        fine[redo] = np.add(*np.split(halves, 2))
-    return fine
+    nodes = nodes[n:]
+    half = 0.5 * (half_hi - half_lo)
+    tail = np.abs(_primitives(nodes, half, _PRIMITIVE[-2:])).sum(axis=0)
+    rough = tail > np.maximum(tol, _REL_FLOOR * np.abs(half) * np.abs(nodes).max(axis=1))
+    redo = ((np.abs(fine - coarse) > np.maximum(tol, _REL_FLOOR * np.abs(fine)))
+            | rough[:n] | rough[n:])
+    if depth == _MAX_SPLIT_DEPTH:
+        redo[:] = False
+    keep = np.flatnonzero(~redo)
+    halves = np.concatenate([keep, keep + n])
+    leaves = [(np.concatenate([keep, keep]), np.concatenate([np.zeros(keep.size), left[keep]]),
+               half_lo[halves], half_hi[halves], nodes[halves])]
+    split = np.flatnonzero(redo)
+    if split.size:
+        m = split.size
+        halves = np.concatenate([split, split + n])
+        refined, (row, offset, leaf_lo, leaf_hi, leaf_nodes) = _integrate(
+            f, half_lo[halves], half_hi[halves], 0.5 * tol, depth + 1)
+        first = refined[:m]
+        fine[split] = first + refined[m:]
+        # a leaf of a second half starts after the whole first half
+        leaves.append((split[row % m], np.where(row < m, offset, offset + first[row % m]),
+                       leaf_lo, leaf_hi, leaf_nodes))
+    return fine, tuple(np.concatenate(parts) for parts in zip(*leaves))
+
+
+@dataclass(frozen=True)
+class _Side:
+    """The first ``panels`` panels of one side of the base point, and the
+    integral at their far edge, as leaves in walk order.
+
+    Leaf i starts at side*key[i], where the integral is value[i], and spans
+    mid[i] + half[i]*u for u in [-1, 1]; coef[:, i] are the monic Legendre
+    coefficients in u of the integral from its start.
+    """
+
+    panels: int
+    end: float
+    key: np.ndarray
+    value: np.ndarray
+    mid: np.ndarray
+    half: np.ndarray
+    coef: np.ndarray
+
+    def at(self, side: int, x: np.ndarray) -> np.ndarray:
+        """The integral at points x inside the filled panels: a query on a
+        leaf's start is its stored value, any other a Clenshaw sum added to it."""
+        i = np.searchsorted(self.key, side * x, side="right") - 1
+        u = (x - self.mid[i]) / self.half[i]
+        coef = self.coef.take(i, axis=1)
+        b1, b2 = coef[-1], 0.0
+        for k in reversed(range(len(coef) - 1)):
+            b = u * b1
+            b += coef[k]
+            b -= _CLENSHAW_G[k + 1] * b2
+            b1, b2 = b, b1
+        value = self.value[i]
+        return np.where(side * x == self.key[i], value, value + b1)
 
 
 class CumulativeIntegral:
@@ -190,9 +290,10 @@ class CumulativeIntegral:
 
     Calling it returns the integral from ``base_point`` to ``x`` (signed); a
     scalar query is a 0-d :meth:`eval_array` query, so it gets the same bits.
-    The axis is tiled into panels of fixed width starting at the base point;
-    the prefixes up to panel edges are memoized per side under a lock, and a
-    query adds the adaptive GL16 integral from its panel's left edge.
+    The axis is tiled into panels of fixed width starting at the base point.
+    Each side's panels are filled once, under a lock, by adaptive GL16; every
+    leaf of the adaptive split keeps the primitive of its 16-node interpolant,
+    so a query inside filled panels makes no integrand call.
     """
 
     def __init__(self, integrand, base_point, panel_width, abs_tol=1e-10):
@@ -204,38 +305,57 @@ class CumulativeIntegral:
         self.base_point = float(base_point)
         self.panel_width = float(panel_width)
         self.abs_tol = float(abs_tol)
-        self._prefixes = {1: np.zeros(1), -1: np.zeros(1)}
+        empty = np.empty(0)
+        self._sides = {side: _Side(0, 0.0, empty, empty, empty, empty, np.empty((len(_PRIMITIVE), 0)))
+                       for side in (1, -1)}
         self._lock = threading.Lock()
 
-    def _prefixes_at(self, side: int, ks) -> np.ndarray:
-        """Integrals up to base_point + side*k*panel_width, k = max(side*ks, 0).
+    def _side(self, side: int, k: int) -> _Side:
+        """The side's table grown to cover panels 0..k in walk order.
 
-        The side's table grows under the lock by a running sum from its last
-        prefix, in walk order, so no prefix's bits depend on a query's reach.
+        A fill adds panels from the side's last edge, whose integral starts
+        the running sum over the new panels in walk order; a leaf's value is
+        its panel's prefix plus the leaves before it in that panel.  So no
+        value's bits depend on a query's reach.
         """
-        ks = np.maximum(side * ks, 0).astype(np.int64)
         with self._lock:
-            table = self._prefixes[side]
-            if ks.max(initial=0) >= table.size:
-                k = np.arange(table.size - 1, ks.max() + 1)
-                edges = self.base_point + side * k * self.panel_width
-                sums = _integrate(self.integrand, edges[:-1], edges[1:], self.abs_tol)
-                table = np.concatenate([table[:-1], np.cumsum(np.concatenate([table[-1:], sums]))])
-                self._prefixes[side] = table
-        return table[ks]
+            table = self._sides[side]
+            if k >= table.panels:
+                edges = self.base_point + side * np.arange(table.panels, k + 2) * self.panel_width
+                sums, (row, offset, lo, hi, nodes) = _integrate(
+                    self.integrand, edges[:-1], edges[1:], self.abs_tol)
+                prefixes = np.cumsum(np.concatenate([[table.end], sums]))
+                order = np.argsort(side * lo)
+                row, offset, lo, hi = row[order], offset[order], lo[order], hi[order]
+                half = 0.5 * (hi - lo)
+                coef = _primitives(nodes[order], half) * _MONIC
+                table = _Side(
+                    k + 1, prefixes[-1],
+                    np.concatenate([table.key, side * lo]),
+                    np.concatenate([table.value, prefixes[row] + offset]),
+                    np.concatenate([table.mid, 0.5 * (hi + lo)]),
+                    np.concatenate([table.half, half]),
+                    np.concatenate([table.coef, coef], axis=1))
+                self._sides[side] = table
+        return table
 
     def eval_array(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        ks = np.floor((xs - self.base_point) / self.panel_width)
-        if not (np.abs(ks) <= _MAX_PANELS).all():
+        steps = (xs - self.base_point) / self.panel_width
+        if not (np.abs(np.floor(steps)) <= _MAX_PANELS).all():
             raise QueryRangeError(f"query points must be finite and within {_MAX_PANELS} "
                                   f"panels of width {self.panel_width!r} of x={self.base_point!r}")
-        out = np.where(ks >= 0, self._prefixes_at(1, ks), self._prefixes_at(-1, ks))
-        # a query on its panel's left edge is that edge's prefix: no quadrature
-        edges = self.base_point + ks * self.panel_width
-        interior = xs != edges
-        out[interior] += _integrate(self.integrand, edges[interior], xs[interior], self.abs_tol)
-        return out
+        flat, steps = xs.reshape(-1), steps.reshape(-1)
+        out = np.empty_like(flat)
+        for side in (1, -1):
+            rows = np.flatnonzero(steps >= 0 if side == 1 else steps < 0)
+            if rows.size:
+                table = self._side(side, int(np.floor(side * steps[rows]).max()))
+                # in blocks, so a query's temporaries stay bounded however many points it has
+                for start in range(0, rows.size, _MAX_INTERVALS * _GL_NODES.size):
+                    block = rows[start:start + _MAX_INTERVALS * _GL_NODES.size]
+                    out[block] = table.at(side, flat[block])
+        return out.reshape(xs.shape)
 
     def __call__(self, x):
         out = self.eval_array(x)

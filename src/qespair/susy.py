@@ -99,13 +99,18 @@ class Eigenstate:
     psi_prime: Optional[Callable] = None
 
 
+def _w_and_wprime(W: Superpotential) -> Callable:
+    """(W, W') on an array, from one joint sample when W has a joint sampler."""
+    return W.w_and_wprime or (lambda x: (W.w(x), W.wprime(x)))
+
+
 def pair_potentials(W: Superpotential) -> PotentialPair:
     """V_minus = (W^2 - W')/2 and V_plus = (W^2 + W')/2 as callables.
 
     Each sample takes W and W' from one joint W.w_and_wprime call when the
     superpotential has one.
     """
-    sample = W.w_and_wprime or (lambda x: (W.w(x), W.wprime(x)))
+    sample = _w_and_wprime(W)
 
     def v_minus(x):
         w, wprime = sample(x)
@@ -205,8 +210,14 @@ def riccati_residual(W: Superpotential, W1: Superpotential, epsilon, x):
     """Residual of the level-linking identity W^2 + W' = W1^2 - W1' + 2 eps.
 
     Identically zero for every validly constructed pair; any nonzero value
-    localizes where a claimed (W, W1, eps) triple breaks down.
+    localizes where a claimed (W, W1, eps) triple breaks down.  Each of W and
+    W1 is sampled once, through its joint (W, W') sampler when it has one.
     """
-    w = W.w(x)
-    w1 = W1.w(x)
-    return w * w + W.wprime(x) - w1 * w1 + W1.wprime(x) - 2.0 * epsilon
+    sample, sample1 = _w_and_wprime(W), _w_and_wprime(W1)
+
+    def residual(x):
+        w, wprime = sample(x)
+        w1, w1prime = sample1(x)
+        return w * w + wprime - w1 * w1 + w1prime - 2.0 * epsilon
+
+    return _scalar_friendly(residual)(x)

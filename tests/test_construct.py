@@ -70,6 +70,10 @@ def test_each_generator_order_is_evaluated_once_per_sample(route):
         calls.clear()
         getattr(getattr(model, sp), attr)(xs)
         assert calls and max(calls.values()) == 1, (name, dict(calls))
+    # the level-linking residual takes one joint (W, W') sample each of W and W1
+    calls.clear()
+    riccati_residual(model.W, model.W1, model.epsilon, xs)
+    assert calls and max(calls.values()) == 2, ("riccati_residual", dict(calls))
 
 
 STATE_MODELS = {

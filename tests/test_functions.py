@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 from qespair import functions
 from qespair.construct import build_from_wplus
@@ -15,6 +16,11 @@ from qespair.expressions import parse_generator
 from qespair.families import PolyPhiParams, poly_phi_model
 from qespair.functions import (CumulativeIntegral, GeneratorFunction, cumulative_integral,
                                from_eval_only, make_analytic, validate_derivatives)
+
+
+def lorentzian(t):
+    # a peak of half-width 0.01 at 0.3: the panel fill must split around it
+    return 1.0 / (1.0 + ((t - 0.3) / 0.01) ** 2)
 
 
 def gaussian_bundle(scale=1.0):
@@ -81,13 +87,25 @@ class TestCumulativeIntegral:
         for x in (0.5, 1.0, 2.0, 4.0):
             assert F(x) == pytest.approx(0.5 * math.sqrt(math.pi) * math.erf(x), abs=1e-12)
 
+    @pytest.mark.parametrize("integrand, primitive", [
+        (lorentzian, lambda x: 0.01 * np.arctan((x - 0.3) / 0.01)),
+        (lambda t: np.exp(-t * t), lambda x: 0.5 * math.sqrt(math.pi) * erf(x)),
+    ])
+    def test_dense_interior_queries_are_accurate(self, integrand, primitive):
+        # both sides of a base point that no query lands on
+        base = 0.2345
+        xs = np.linspace(-1.7, 2.3, 4001)
+        F = cumulative_integral(integrand, base)
+        assert np.max(np.abs(F(xs) - (primitive(xs) - primitive(base)))) <= 1e-12
+
     def test_scalar_and_array_paths_agree_bitwise(self):
-        F = cumulative_integral(lambda t: np.cos(t) * np.exp(-0.1 * t * t), 0.0)
-        for n in (57, 4001):
-            xs = np.linspace(-9.3, 11.7, n)
-            batch = F(xs)
-            single = np.array([F(float(x)) for x in xs])
-            assert np.array_equal(batch, single)
+        for integrand in (lambda t: np.cos(t) * np.exp(-0.1 * t * t), lorentzian):
+            F = cumulative_integral(integrand, 0.0)
+            for n in (57, 4001):
+                xs = np.linspace(-9.3, 11.7, n)
+                batch = F(xs)
+                single = np.array([F(float(x)) for x in xs])
+                assert np.array_equal(batch, single)
         # constructed models: the primitive of W and states built on W1's,
         # then a phi-route family whose psi0 takes phi'**-0.5
         model = build_from_wplus(parse_generator("sinh(x - 0.4)"))
@@ -108,9 +126,15 @@ class TestCumulativeIntegral:
             rows.append(len(t))
             return np.cos(t) * np.exp(-0.1 * t * t)
 
-        cumulative_integral(integrand, 0.0)(np.linspace(-9.3, 11.7, 4001))
+        F = cumulative_integral(integrand, 0.0)
+        F(np.linspace(-9.3, 11.7, 4001))
         assert len(rows) < 100
         assert max(rows) <= functions._MAX_INTERVALS
+        # points inside the filled panels are answered from the stored leaves
+        rows.clear()
+        F(np.linspace(-9.2, 11.6, 3001))
+        F(1.2345)
+        assert rows == []
 
     def test_far_or_non_finite_query_is_refused(self):
         F = cumulative_integral(np.cos, 0.0)

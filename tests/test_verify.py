@@ -194,3 +194,13 @@ class TestVerifyModel:
         # discretization error alone exceeds such a tolerance
         assert not report.checks["energy_levels"]
         assert not report.passed
+
+    def test_stencil_residual_sees_the_state_not_quadrature_noise(self):
+        # The reference is the same 200-point, +-6 scale-hint stencil with
+        # fd_step = 3e-4 scale hints, V_minus from the model and psi0 from
+        # 30-digit mpmath.quad of int W (the model's piecewise W evaluated at
+        # 30 digits, breakpoints at x0 +- TAYLOR_WINDOW*scale_hint).  The h^2
+        # stencil turns integral errors that are not smooth into 1/h^2 noise.
+        reference = 8.2175472e-6
+        report = verify_model(poly_wplus_model(PolyWplusParams(0.4875, 13.9506)))
+        assert report.residual_sups[0] == pytest.approx(reference, rel=0.01)
