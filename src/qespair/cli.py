@@ -65,7 +65,8 @@ class ModelConfig:
 def _number(value, key: str, kind=float):
     """A config value converted to kind, or a ConfigError naming its key."""
     try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -118,6 +119,8 @@ def _resolve_config(args) -> ModelConfig:
     out_flag = getattr(args, "out", None) or getattr(args, "emit", None)
     if out_flag:
         cfg.output["path"] = out_flag
+    if not isinstance(cfg.family, str):
+        raise ConfigError(f"config value family must be a string (got {cfg.family!r})")
     if not isinstance(cfg.output.get("path", ""), str):
         raise ConfigError(f"config value output.path must be a string (got {cfg.output['path']!r})")
     return cfg
@@ -164,9 +167,10 @@ def _resolve_grid(cfg: ModelConfig, model) -> Grid:
     if "L" not in cfg.grid:
         return auto_grid(model, n_points=n)
     L = _number(cfg.grid["L"], "grid.L")
-    if not (math.isfinite(L) and L > 0):
-        raise ConfigError(f"grid L (--grid-l) must be positive and finite (got {L})")
-    return Grid(L, n)
+    try:
+        return Grid(L, n)
+    except ValueError as exc:  # N is checked above, so the box is at fault
+        raise ConfigError(f"grid L (--grid-l) = {L!r} is refused: {exc}") from exc
 
 
 def _require_levels(grid: Grid, k: int):
@@ -183,6 +187,9 @@ def _resolve_tolerances(cfg: ModelConfig) -> Tolerances:
         if key not in known:
             raise ConfigError(f"unknown tolerance {key!r} (expected one of {sorted(known)})")
         overrides[key] = _number(value, f"tolerances.{key}")
+        if not (math.isfinite(overrides[key]) and overrides[key] > 0):
+            raise ConfigError(f"config value tolerances.{key} must be positive and finite "
+                              f"(got {value!r})")
     return Tolerances(**overrides)
 
 

@@ -208,7 +208,7 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
     d3_0 = float(w_plus.deriv3(x0))
     # Taylor form of the quotient across its removable singularity.
     c0 = d2_0 / d1_0
-    c1 = d3_0 / (2.0 * d1_0) - d2_0 * d2_0 / (2.0 * d1_0 * d1_0)
+    c1 = (d3_0 - d2_0 * c0) / (2.0 * d1_0)
 
     def half(sign):
         """W (sign -1) or W1 (sign +1) as (W+ + sign*R)/2, with its slope,
@@ -245,11 +245,7 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
 
     psi1 = Eigenstate(eps, _scalar_friendly(psi1_fn), 1, _scalar_friendly(psi1_prime))
 
-    provenance = {
-        "route": "wplus-generator",
-        "generator": w_plus.label,
-        "numeric_derivatives": w_plus.numeric_derivatives,
-    }
+    provenance = {"route": "wplus-generator", "numeric_derivatives": w_plus.numeric_derivatives}
     return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1,
                     _scalar_friendly(w_plus.eval), s, provenance)
 
@@ -332,12 +328,7 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
     def w_plus(x):
         return 2.0 * eps * phi.eval(x) / phi.deriv1(x)
 
-    provenance = {
-        "route": "phi-generator",
-        "generator": phi.label,
-        "epsilon": eps,
-        "numeric_derivatives": phi.numeric_derivatives,
-    }
+    provenance = {"route": "phi-generator", "numeric_derivatives": phi.numeric_derivatives}
     return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1,
                     _scalar_friendly(w_plus), s, provenance, phi=phi.eval)
 

@@ -116,8 +116,7 @@ def poly_wplus_model(params: PolyWplusParams) -> QesModel:
         return x * (a + b * x ** 2) ** 0.25 * gaussian_part(x)
 
     closed = ClosedForms(v_minus=v_minus, psi0=psi0, psi1=psi1)
-    provenance = dict(model.provenance, family="poly-wplus", params={"a": a, "b": b})
-    return dataclasses.replace(model, closed_form=closed, provenance=provenance)
+    return dataclasses.replace(model, closed_form=closed)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +209,7 @@ def poly_phi_model(params: PolyPhiParams) -> QesModel:
         return (a * x + b * x ** 3 / 3.0) * (a + b * x ** 2) ** power * np.exp(-e * x ** 2 / 6.0)
 
     closed = ClosedForms(v_minus=v_minus, v_plus=v_plus, psi0=psi0, psi1=psi1)
-    provenance = dict(model.provenance, family="poly-phi",
-                      params={"a": a, "b": b, "epsilon": e})
-    return dataclasses.replace(model, closed_form=closed, provenance=provenance)
+    return dataclasses.replace(model, closed_form=closed)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +230,7 @@ def poly_phi_ces_model(a: float, b: float) -> QesModel:
     i.e. frequency omega = b/2a shifted by 5b/4a, so every level of V_minus
     follows from the raising map, not just the lowest two.
     """
-    model = poly_phi_model(PolyPhiParams(a, b, ces_epsilon(a, b)))
-    provenance = dict(model.provenance, family="poly-phi-ces", params={"a": a, "b": b})
-    return dataclasses.replace(model, provenance=provenance)
+    return poly_phi_model(PolyPhiParams(a, b, ces_epsilon(a, b)))
 
 
 def ces_exact_spectrum(a: float, b: float, n_max: int) -> list:
@@ -307,6 +302,11 @@ class SinhWplusParams:
         _require_positive(A=self.A, alpha=self.alpha)
         if not np.isfinite(self.x0):
             raise ParameterError(f"x0 must be finite (got {self.x0})")
+        with np.errstate(over="ignore"):
+            scales = self.A * np.float64(self.alpha) ** 3, self.A * np.sinh(self.alpha * self.x0)
+        if not np.all(np.isfinite(scales)):
+            raise ParameterError(f"A*alpha^3 and A*sinh(alpha*x0) must be finite (got A={self.A}, "
+                                 f"alpha={self.alpha}, x0={self.x0})")
 
     @property
     def scale_hint(self) -> float:
@@ -334,10 +334,7 @@ def sinh_wplus_model(params: SinhWplusParams) -> QesModel:
     prefactor.  No closed-form potential is attached; the generic route is
     the definition here.
     """
-    model = build_from_wplus(sinh_wplus_generator(params))
-    provenance = dict(model.provenance, family="sinh-wplus",
-                      params={"A": params.A, "alpha": params.alpha, "x0": params.x0})
-    return dataclasses.replace(model, provenance=provenance)
+    return build_from_wplus(sinh_wplus_generator(params))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ Everything downstream consumes functions through two small types:
   derivatives and a characteristic length scale.  Callables must accept either
   a float or a numpy array and act elementwise.
 * :class:`CumulativeIntegral` is a primitive of an integrand, anchored so that
-  the value at ``base_point`` is exactly zero.  Each filled panel keeps the
-  primitives of its quadrature leaves, so repeated queries only ever pay for
-  new territory.
+  the value at ``base_point`` is exactly zero.  A fill keeps only the leaves of
+  its adaptive split, each with its primitive and its start value (a running
+  sum of leaf integrals), so repeated queries only pay for new territory.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 from dataclasses import dataclass
@@ -32,7 +33,12 @@ __all__ = [
     "cumulative_integral",
 ]
 
+_log = logging.getLogger(__name__)
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+# Absolute tolerance of each panel's adaptive split.
+_ABS_TOL = 1e-10
 
 # Panel subdivision stops here even if the tolerance is still unmet; combined
 # with the machine-relative floor below this keeps huge integrands terminating.
@@ -195,60 +201,50 @@ _MONIC = np.array([[math.comb(2 * k, k) / 2 ** k] for k in range(len(_PRIMITIVE)
 _CLENSHAW_G = [k * k / (4 * k * k - 1) for k in range(len(_PRIMITIVE))]
 
 
-def _primitives(nodes, half, rows=_PRIMITIVE):
-    """Legendre coefficients (``rows`` of _PRIMITIVE), one column per row of
-    nodes, of the primitive of each row's 16-node interpolant over an
-    interval of half-width half[i].
+def _primitives(nodes, half):
+    """Legendre coefficients, one column per row of nodes, of the primitive of
+    each row's 16-node interpolant over an interval of half-width half[i].
 
     Each coefficient is a row-by-row reduction, like _gl16's sums.
     """
-    coef = np.empty((len(rows), half.size))
-    for order, weights in enumerate(rows):
+    coef = np.empty((len(_PRIMITIVE), half.size))
+    for order, weights in enumerate(_PRIMITIVE):
         coef[order] = half * (nodes * weights).sum(axis=1)
     return coef
 
 
 def _integrate(f, lo, hi, tol, depth=0):
-    """Adaptive GL16 integrals of f from lo[i] to hi[i], signed, and their leaves.
+    """Leaves of the adaptive GL16 split of [lo[i], hi[i]], as (lo, hi,
+    integral, coef): each leaf's ends, its signed integral and the Legendre
+    coefficients of its primitive.
 
     Rows whose whole-interval and two half-interval rules disagree beyond the
     tolerance, or either of whose halves' primitives keeps a Legendre tail
     (its two highest coefficients) above it, are halved again, with half the
-    tolerance.  The two halves of a row that is not halved again are leaves,
-    returned as (row, offset, lo, hi, nodes): the row each leaf belongs to,
-    the integral from that row's lo to the leaf's lo, the leaf's ends and its
-    16 integrand samples.
+    tolerance.  The two halves of a row that is not halved again are leaves.
     """
     n = lo.size
     mid = 0.5 * (lo + hi)
     half_lo, half_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     sums, nodes = _gl16(f, np.concatenate([lo, half_lo]), np.concatenate([hi, half_hi]))
-    coarse, left, right = np.split(sums, 3)
-    fine = left + right
-    nodes = nodes[n:]
+    coarse, sums, nodes = sums[:n], sums[n:], nodes[n:]
+    fine = sums[:n] + sums[n:]
     half = 0.5 * (half_hi - half_lo)
-    tail = np.abs(_primitives(nodes, half, _PRIMITIVE[-2:])).sum(axis=0)
+    coef = _primitives(nodes, half)
+    tail = np.abs(coef[-2:]).sum(axis=0)
     rough = tail > np.maximum(tol, _REL_FLOOR * np.abs(half) * np.abs(nodes).max(axis=1))
     redo = ((np.abs(fine - coarse) > np.maximum(tol, _REL_FLOOR * np.abs(fine)))
             | rough[:n] | rough[n:])
-    if depth == _MAX_SPLIT_DEPTH:
+    if depth == _MAX_SPLIT_DEPTH and redo.any():
+        ends = np.concatenate([lo[redo], hi[redo]])
+        _log.warning("cumulative integral: %d interval(s) in [%.6g, %.6g] miss the tolerance "
+                     "after %d halvings", redo.sum(), ends.min(), ends.max(), depth)
         redo[:] = False
-    keep = np.flatnonzero(~redo)
-    halves = np.concatenate([keep, keep + n])
-    leaves = [(np.concatenate([keep, keep]), np.concatenate([np.zeros(keep.size), left[keep]]),
-               half_lo[halves], half_hi[halves], nodes[halves])]
-    split = np.flatnonzero(redo)
-    if split.size:
-        m = split.size
-        halves = np.concatenate([split, split + n])
-        refined, (row, offset, leaf_lo, leaf_hi, leaf_nodes) = _integrate(
-            f, half_lo[halves], half_hi[halves], 0.5 * tol, depth + 1)
-        first = refined[:m]
-        fine[split] = first + refined[m:]
-        # a leaf of a second half starts after the whole first half
-        leaves.append((split[row % m], np.where(row < m, offset, offset + first[row % m]),
-                       leaf_lo, leaf_hi, leaf_nodes))
-    return fine, tuple(np.concatenate(parts) for parts in zip(*leaves))
+    redo = np.tile(redo, 2)  # a row's two halves are leaves together or halved together
+    leaves = [(half_lo[~redo], half_hi[~redo], sums[~redo], coef[:, ~redo])]
+    if redo.any():
+        leaves.append(_integrate(f, half_lo[redo], half_hi[redo], 0.5 * tol, depth + 1))
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*leaves))
 
 
 @dataclass(frozen=True)
@@ -296,7 +292,7 @@ class CumulativeIntegral:
     so a query inside filled panels makes no integrand call.
     """
 
-    def __init__(self, integrand, base_point, panel_width, abs_tol=1e-10):
+    def __init__(self, integrand, base_point, panel_width):
         if not (np.isfinite(panel_width) and panel_width > 0):
             raise ValueError("panel_width must be positive and finite")
         if not np.isfinite(base_point):
@@ -304,7 +300,6 @@ class CumulativeIntegral:
         self.integrand = integrand
         self.base_point = float(base_point)
         self.panel_width = float(panel_width)
-        self.abs_tol = float(abs_tol)
         empty = np.empty(0)
         self._sides = {side: _Side(0, 0.0, empty, empty, empty, empty, np.empty((len(_PRIMITIVE), 0)))
                        for side in (1, -1)}
@@ -313,29 +308,25 @@ class CumulativeIntegral:
     def _side(self, side: int, k: int) -> _Side:
         """The side's table grown to cover panels 0..k in walk order.
 
-        A fill adds panels from the side's last edge, whose integral starts
-        the running sum over the new panels in walk order; a leaf's value is
-        its panel's prefix plus the leaves before it in that panel.  So no
-        value's bits depend on a query's reach.
+        A fill continues one sequential running sum of leaf integrals in walk
+        order from the side's last edge, so no value's bits depend on how far
+        or in how many steps the table was filled.
         """
         with self._lock:
             table = self._sides[side]
             if k >= table.panels:
                 edges = self.base_point + side * np.arange(table.panels, k + 2) * self.panel_width
-                sums, (row, offset, lo, hi, nodes) = _integrate(
-                    self.integrand, edges[:-1], edges[1:], self.abs_tol)
-                prefixes = np.cumsum(np.concatenate([[table.end], sums]))
+                lo, hi, integral, coef = _integrate(self.integrand, edges[:-1], edges[1:], _ABS_TOL)
                 order = np.argsort(side * lo)
-                row, offset, lo, hi = row[order], offset[order], lo[order], hi[order]
-                half = 0.5 * (hi - lo)
-                coef = _primitives(nodes[order], half) * _MONIC
+                lo, hi = lo[order], hi[order]
+                values = np.cumsum(np.concatenate([[table.end], integral[order]]))
                 table = _Side(
-                    k + 1, prefixes[-1],
+                    k + 1, values[-1],
                     np.concatenate([table.key, side * lo]),
-                    np.concatenate([table.value, prefixes[row] + offset]),
+                    np.concatenate([table.value, values[:-1]]),
                     np.concatenate([table.mid, 0.5 * (hi + lo)]),
-                    np.concatenate([table.half, half]),
-                    np.concatenate([table.coef, coef], axis=1))
+                    np.concatenate([table.half, 0.5 * (hi - lo)]),
+                    np.concatenate([table.coef, coef[:, order] * _MONIC], axis=1))
                 self._sides[side] = table
         return table
 
@@ -362,13 +353,10 @@ class CumulativeIntegral:
         return float(out) if out.ndim == 0 else out
 
 
-def cumulative_integral(integrand, base_point, *, panel_width=None, abs_tol=1e-10,
-                        scale_hint=1.0) -> CumulativeIntegral:
+def cumulative_integral(integrand, base_point, *, scale_hint=1.0) -> CumulativeIntegral:
     """Anchor a memoizing primitive of ``integrand`` at ``base_point``.
 
-    Panel width defaults to scale_hint/8, narrow enough that one GL16 rule
-    per panel resolves anything smooth on that scale.
+    Panels are scale_hint/8 wide, narrow enough that one GL16 rule per panel
+    resolves anything smooth on that scale.
     """
-    if panel_width is None:
-        panel_width = float(scale_hint) / 8.0
-    return CumulativeIntegral(integrand, base_point, panel_width, abs_tol)
+    return CumulativeIntegral(integrand, base_point, float(scale_hint) / 8.0)

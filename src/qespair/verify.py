@@ -52,6 +52,9 @@ class Grid:
             raise ValueError("L must be positive and finite")
         if self.N < 3 or self.N % 2 == 0:
             raise ValueError("N must be an odd integer >= 3")
+        if not self.h * self.h > 1.0 / np.finfo(float).max:
+            raise QueryRangeError(f"the box [-{self.L!r}, {self.L!r}] is too narrow for "
+                                  f"{self.N} points: 1/h^2 is not finite")
 
     @property
     def h(self) -> float:
@@ -143,10 +146,14 @@ def eigensolve(v: Callable, grid: Grid, k: int, vectors: bool = True):
     h2 = grid.h * grid.h
     diag = 1.0 / h2 + pot
     off = np.full(grid.N - 1, -0.5 / h2)
-    if not vectors:
-        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                select_range=(0, k - 1)), None
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    try:
+        if not vectors:
+            return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                    select_range=(0, k - 1)), None
+        return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    except np.linalg.LinAlgError as exc:
+        raise QueryRangeError(f"the eigensolver did not converge on the grid "
+                              f"[-{grid.L!r}, {grid.L!r}] with {grid.N} points ({exc})") from exc
 
 
 def inner_product(f: Callable, g: Callable, grid: Grid) -> float:

@@ -141,9 +141,10 @@ class TestValidation:
          "is not finite everywhere on the scan grid"),
         (["build", "--family", "custom", "--expr", "1/x", "--epsilon", "1"],
          "1/x is not monotonically increasing"),
+        (["verify", "--family", "poly-wplus", "--tol-e", "-1"], "tolerances.energy"),
     ], ids=["potential-overflows", "box-beyond-the-panel-range", "negative-scale-hint",
             "sinh-potential-overflows", "table-overflows", "seed-pole-on-the-scan",
-            "seed-overflows-on-the-scan", "phi-slope-pole"])
+            "seed-overflows-on-the-scan", "phi-slope-pole", "negative-tolerance"])
     def test_out_of_range_input_is_a_usage_error(self, args, message, tmp_path, capsys):
         table = tmp_path / "table.csv"
         code, out, err = run(args + ["--emit", str(table)] if args[0] == "build" else args,
@@ -152,6 +153,19 @@ class TestValidation:
         assert err.startswith("error:") and message in err
         assert out == ""
         assert not table.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--family", "custom", "--expr", "x*1e-300"],
+        ["--family", "poly-wplus", "--grid-l", "1e-300"],
+        ["--family", "poly-phi", "--epsilon", "1e300"],
+        ["--family", "sinh-wplus", "--alpha", "1e300"],
+    ], ids=["underflowing-seed", "subnormal-box", "eigensolver-diverges", "overflowing-alpha"])
+    def test_badly_scaled_number_is_one_error_line(self, args, capsys):
+        code, out, err = run(["verify"] + args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_inadmissible_expression(self, capsys):
         code, _, err = run(["build", "--family", "custom", "--expr", "sin(x)"], capsys)
@@ -259,8 +273,14 @@ class TestConfigFile:
         ({"family": "custom", "expr": 5}, "--expr"),
         ({"output": {"path": 5}}, "output.path"),
         ({"grid": {"N": 4001.9}}, "grid.N"),
+        ({"family": ["x"]}, "family"),
+        ({"params": {"a": True}}, "params.a"),
+        ({"grid": {"N": True}}, "grid.N"),
+        ({"tolerances": {"energy": "nan"}}, "tolerances.energy"),
+        ({"tolerances": {"energy": 0}}, "tolerances.energy"),
     ], ids=["grid-n", "grid-l", "tolerance", "scale-hint", "param", "grid-section",
-            "params-section", "expr", "output-path", "fractional-grid-n"])
+            "params-section", "expr", "output-path", "fractional-grid-n", "family-list",
+            "boolean-param", "boolean-grid-n", "nan-tolerance", "zero-tolerance"])
     def test_mistyped_value_is_a_usage_error(self, config, key, tmp_path, capsys):
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps(config))

@@ -1,5 +1,6 @@
 """Tests for generator bundles, derivative validation, and quadrature."""
 
+import logging
 import math
 import sys
 import threading
@@ -205,8 +206,22 @@ class TestCumulativeIntegral:
         with pytest.raises(NonFiniteIntegrandError):
             F(-1.0)
 
+    def test_split_cap_is_logged(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="qespair.functions"):
+            step = cumulative_integral(lambda t: np.where(t < 0.3, 0.0, 1.0), 0.0)(1.0)
+        assert step == pytest.approx(0.7, abs=1e-6)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "1 interval(s) in [0.299988, 0.300018] miss the tolerance" in record.getMessage()
+
+    @pytest.mark.parametrize("integrand", [np.cos, lorentzian], ids=["cos", "lorentzian"])
+    def test_converged_fill_logs_nothing(self, integrand, caplog):
+        with caplog.at_level(logging.DEBUG, logger="qespair.functions"):
+            cumulative_integral(integrand, 0.0)(np.linspace(-3.0, 3.0, 7))
+        assert caplog.records == []
+
     def test_explicit_panel_width(self):
-        F = CumulativeIntegral(np.cos, 0.0, panel_width=0.5, abs_tol=1e-12)
+        F = CumulativeIntegral(np.cos, 0.0, panel_width=0.5)
         assert F(7.0) == pytest.approx(math.sin(7.0), abs=1e-11)
 
     @settings(max_examples=40, deadline=None)
