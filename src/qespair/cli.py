@@ -13,6 +13,8 @@ Exit codes: 0 success / verification passed, 1 verification failed,
 
 Floats in the CSV table are printed with 17 significant digits so re-parsing
 reproduces them bit for bit; JSON uses Python's shortest round-trip form.
+Library warnings go to stderr as ``warning: <message>``, each distinct
+message once per command.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import logging
 import math
 import sys
 from dataclasses import dataclass, field
@@ -329,6 +332,24 @@ def cmd_crosscheck(args) -> int:
     return 0 if ok else 1
 
 
+class _WarningPrinter(logging.Handler):
+    """Prints each distinct qespair warning once as "warning: <message>".
+
+    The stream is looked up at emit time, so a caller that redirects
+    sys.stderr around main() gets the lines.
+    """
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self._seen = set()
+
+    def emit(self, record):
+        message = record.getMessage()
+        if message not in self._seen:
+            self._seen.add(message)
+            print(f"warning: {message}", file=sys.stderr)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     model = common.add_argument_group("model")
@@ -388,11 +409,16 @@ def main(argv=None) -> int:
     if getattr(args, "func", None) is None:
         parser.print_help()
         return 2
+    logger = logging.getLogger("qespair")
+    printer = _WarningPrinter()
+    logger.addHandler(printer)
     try:
         return args.func(args)
     except QesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(printer)
 
 
 def entry():

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (GeneratorAdmissibilityError, InadmissibleModelError,
                      ParameterError, PhiNotMonotoneError)
@@ -50,6 +49,14 @@ PROBE_HALF_WIDTH = 8.0  # in units of scale_hint
 # Inside this window around x0 the divided-difference quotient is replaced by
 # its Taylor form; outside, the naive quotient is already at full precision.
 TAYLOR_WINDOW = 1e-3
+
+# The node polish stops once its sign bracket is narrower than
+# _XTOL + _RTOL*|x| or its Newton step no longer moves x.  A triple root
+# converges linearly by 2/3 a step and needs about 80 steps from the scan
+# bracket down to one ulp.
+_XTOL = 1e-15
+_RTOL = 8.9e-16
+_POLISH_ITERATIONS = 100
 
 
 def probe_grid(x0: float, scale_hint: float) -> np.ndarray:
@@ -109,8 +116,9 @@ def find_single_zero(f: GeneratorFunction, search_radius=None) -> float:
     """Locate the unique zero crossing of f on [-R, R].
 
     Scans the 401-point grid to certify there is exactly one crossing, then
-    polishes the bracket with Brent's method.  Zero samples landing exactly on
-    the grid count as crossings when the surrounding signs differ.
+    polishes the bracket by Newton steps on f and f' that keep a sign bracket
+    (see _polish_zero).  Zero samples landing exactly on the grid count as
+    crossings when the surrounding signs differ, and are returned as they are.
     """
     name = f.label or "W+"
     radius = PROBE_HALF_WIDTH * f.scale_hint if search_radius is None else float(search_radius)
@@ -142,16 +150,44 @@ def find_single_zero(f: GeneratorFunction, search_radius=None) -> float:
             f"{name} has multiple zeros (near {where}): not supported")
 
     c = crossings[0]
-    if c[0] == "exact":
-        x0 = c[1]
-    else:
-        x0 = float(brentq(lambda t: float(f.eval(t)), c[1], c[2], xtol=1e-15, rtol=8.9e-16))
+    x0 = c[1] if c[0] == "exact" else _polish_zero(f, c[1], c[2])
     residual = abs(float(f.eval(x0)))
     local = max(1.0, abs(float(f.deriv1(x0))) * f.scale_hint)
     if residual > 1e-12 * local:
         raise GeneratorAdmissibilityError(
             f"zero polish failed for {name}: |f(x0)|={residual} at x0={x0}")
     return x0
+
+
+def _polish_zero(f: GeneratorFunction, a: float, b: float) -> float:
+    """The zero of f inside [a, b], where f(a) and f(b) have opposite signs.
+
+    Bracketed Newton, as rtsafe (Numerical Recipes, sec. 9.4): each iterate
+    x replaces the bracket end whose f has its sign, and the Newton step
+    x - f(x)/f'(x) is taken unless it leaves the bracket or f'(x) is zero,
+    when the bracket is bisected instead.  A simple zero converges
+    quadratically; a flat one linearly, or by halving.  The iterate is
+    returned as it is when the cap is reached: find_single_zero's residual
+    gate judges it.
+    """
+    lo, hi = (a, b) if float(f.eval(a)) < 0 else (b, a)  # f(lo) < 0 < f(hi)
+    x = 0.5 * (a + b)
+    for _ in range(_POLISH_ITERATIONS):
+        fx = float(f.eval(x))
+        if fx == 0.0:
+            return x
+        if fx < 0:
+            lo = x
+        else:
+            hi = x
+        if abs(hi - lo) < _XTOL + _RTOL * abs(x):
+            return x
+        slope = float(f.deriv1(x))
+        x_new = x - fx / slope if slope != 0.0 else math.nan
+        if x_new == x:
+            return x
+        x = x_new if min(lo, hi) < x_new < max(lo, hi) else 0.5 * (lo + hi)
+    return x
 
 
 def epsilon_from_wplus(w_plus: GeneratorFunction, x0: float) -> float:

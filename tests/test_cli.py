@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -405,6 +406,35 @@ def test_import_loads_no_test_only_package():
                           env=source_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_scipy_optimize_or_integrate():
+    """``import qespair.cli`` loads neither scipy.optimize nor scipy.integrate."""
+    code = ("import sys, qespair.cli; "
+            "print(sorted({'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=source_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+class TestWarnings:
+    # W and W1 jump at the Taylor window's edges, so the filled integrals of
+    # both miss the quadrature tolerance at the same two places
+    ARGS = ["verify", "--family", "poly-wplus", "--a", "0.05", "--b", "20"]
+
+    def test_each_distinct_warning_is_printed_once_with_a_prefix(self, capsys):
+        _, _, err = run(self.ARGS, capsys)
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("warning: cumulative integral:") for line in lines)
+
+    def test_repeated_calls_neither_stack_handlers_nor_share_dedup_state(self, capsys):
+        handlers = list(logging.getLogger("qespair").handlers)
+        first = run(self.ARGS, capsys)[2]
+        second = run(self.ARGS, capsys)[2]
+        assert second == first
+        assert logging.getLogger("qespair").handlers == handlers
 
 
 @pytest.mark.skipif(shutil.which("qes") is None, reason="qes console script not installed")

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from qespair import construct
 from qespair.construct import (build_from_phi, build_from_wplus, cross_check_constructions,
@@ -141,6 +142,28 @@ class TestFindSingleZero:
         with pytest.raises(GeneratorAdmissibilityError, match="no zero crossing"):
             find_single_zero(g, search_radius=4.0)
         assert find_single_zero(g, search_radius=10.0) == pytest.approx(6.0, abs=1e-12)
+
+    @pytest.mark.parametrize("expr", ["x^3 + x - 0.5", "sinh(x - 0.4)",
+                                      "2*x + tanh(x - 0.3)",
+                                      "x + 0.3*x^3 + 0.5*tanh(2*x - 1)", "0.5*x - 0.35"])
+    def test_off_grid_zero_matches_brent_at_its_tolerance(self, expr):
+        g = parse_generator(expr)
+        xs = construct.probe_grid(0.0, g.scale_hint)
+        i = int(np.argmax(np.asarray(g.eval(xs)) > 0))
+        reference = brentq(lambda t: float(g.eval(t)), xs[i - 1], xs[i],
+                           xtol=1e-15, rtol=8.9e-16)
+        x0 = find_single_zero(g)
+        assert abs(x0 - reference) <= 1e-15 + 8.9e-16 * abs(x0)
+
+    def test_zero_on_the_scan_grid_is_not_polished(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an exact zero on the grid was polished")
+        monkeypatch.setattr(construct, "_polish_zero", refuse)
+        assert find_single_zero(parse_generator("2*x + x^3")) == 0.0
+
+    def test_flat_zero_terminates_close_to_the_root(self):
+        # f' vanishes at the root, so Newton only gains a factor 2/3 a step
+        assert abs(find_single_zero(parse_generator("(x - 0.7)^3")) - 0.7) < 1e-15
 
 
 class TestEpsilonFromSlope:

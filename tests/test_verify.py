@@ -5,12 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.polynomial import hermite
+from scipy.integrate import simpson
 
 from qespair.construct import build_from_wplus
 from qespair.expressions import parse_generator
 from qespair.families import PolyWplusParams, poly_wplus_model
-from qespair.verify import (Grid, Tolerances, auto_grid, count_nodes, eigensolve,
+from qespair.verify import (Grid, Tolerances, _simpson, auto_grid, count_nodes, eigensolve,
                             inner_product, rayleigh_quotient, verify_model)
 
 
@@ -117,6 +120,14 @@ class TestQuadratureHelpers:
         psi = lambda x: np.exp(-0.5 * x * x)
         dpsi = lambda x: -x * np.exp(-0.5 * x * x)
         assert rayleigh_quotient(psi, dpsi, harmonic, grid) == pytest.approx(0.5, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 1000).flatmap(
+               lambda m: arrays(np.float64, 2 * m + 1,
+                                elements=st.floats(-1e300, 1e300))),
+           st.floats(1e-6, 1e3))
+    def test_simpson_matches_scipy_bit_for_bit(self, y, h):
+        assert np.float64(_simpson(y, h)).tobytes() == np.float64(simpson(y, dx=h)).tobytes()
 
 
 class TestAutoGrid:
