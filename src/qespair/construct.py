@@ -192,7 +192,10 @@ def _polish_zero(f: GeneratorFunction, a: float, b: float) -> float:
 
 def epsilon_from_wplus(w_plus: GeneratorFunction, x0: float) -> float:
     """Level gap fixed by the slope at the node: eps = W_plus'(x0)/2 > 0."""
-    slope = float(w_plus.deriv1(x0))
+    return _epsilon_from_slope(float(w_plus.deriv1(x0)), x0)
+
+
+def _epsilon_from_slope(slope: float, x0: float) -> float:
     if not (slope > 0):
         raise GeneratorAdmissibilityError(
             f"non-transversal or wrongly oriented zero: W+'(x0)={slope} at x0={x0}")
@@ -235,11 +238,11 @@ def _superpotential(gen: GeneratorFunction, w_of, wprime_of, order: int,
 def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
     """Construct a model from the combined superpotential W_plus = W + W1."""
     x0 = find_single_zero(w_plus)
-    eps = epsilon_from_wplus(w_plus, x0)
+    d1_0 = float(w_plus.deriv1(x0))
+    eps = _epsilon_from_slope(d1_0, x0)
     s = w_plus.scale_hint
     delta = TAYLOR_WINDOW * s
 
-    d1_0 = float(w_plus.deriv1(x0))
     d2_0 = float(w_plus.deriv2(x0))
     d3_0 = float(w_plus.deriv3(x0))
     # Taylor form of the quotient across its removable singularity.

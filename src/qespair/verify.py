@@ -12,12 +12,14 @@ sampled.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .construct import QesModel
 from .errors import QueryRangeError
@@ -37,6 +39,17 @@ __all__ = [
 
 
 VERIFY_LEVELS = 4  # lowest levels of V_minus that verify_model solves for
+
+# Shifted inverse iteration in eigensolve (see _certified_levels).
+COARSEN = 8               # the shifts are the levels on every COARSEN-th grid point
+MIN_COARSE_POINTS = 201   # fewest coarse points the shifts are taken from
+INVERSE_SOLVES = 3        # normalized solves per factorization of T - sigma I
+MAX_REFACTORS = 3         # refactorizations at the Rayleigh quotient
+RESIDUAL_GATE = 4.0       # accept ||T x - lam x|| <= RESIDUAL_GATE sqrt(N) eps ||T||_1
+ROUNDOFF_SLACK = 4.0      # error interval lam +- (r + ROUNDOFF_SLACK eps ||T||_1)
+_START_SEED = 20260418    # the fixed start vector of every inverse iteration
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -127,29 +140,134 @@ def _sample_finite(fn: Callable, grid: Grid, *names: str):
     return samples if len(names) > 1 else samples[0]
 
 
+def _tridiagonal(pot: np.ndarray, h: float):
+    """Diagonal and off-diagonal of the stencil for potential samples h apart."""
+    h2 = h * h
+    return 1.0 / h2 + pot, np.full(pot.size - 1, -0.5 / h2)
+
+
+def _lapack_levels(diag: np.ndarray, off: np.ndarray, k: int, vectors: bool):
+    """Lowest k eigenpairs of the tridiagonal matrix by LAPACK: bisection
+    (stebz), plus inverse iteration (stein) when vectors are asked for."""
+    if not vectors:
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(0, k - 1)), None
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+
+
+def _uncertified(reason: str, n: int, k: int) -> None:
+    _log.debug("eigensolve certificate failed (%s) at N=%d, k=%d; using bisection",
+               reason, n, k)
+    return None
+
+
+def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
+    """Lowest k eigenpairs by shifted inverse iteration, or None when they
+    cannot be certified.
+
+    The shifts are the lowest k levels of the same box sampled on every
+    COARSEN-th point.  Per shift, T - sigma I is factored once and
+    INVERSE_SOLVES normalized solves run from a fixed seeded start; while the
+    residual r = ||T x - lam x|| of the Rayleigh quotient lam exceeds
+    RESIDUAL_GATE sqrt(N) eps ||T||_1, sigma moves to lam and the matrix is factored again (at most
+    MAX_REFACTORS times).  Each interval lam +- (r + ROUNDOFF_SLACK eps ||T||_1)
+    holds an eigenvalue; when the intervals are disjoint and one Sturm count
+    finds exactly k eigenvalues up to the top of the highest, they hold the k
+    lowest, one each.
+    """
+    n = pot.size
+    try:
+        shifts, _ = _lapack_levels(*_tridiagonal(pot[::COARSEN], COARSEN * h), k, False)
+    except np.linalg.LinAlgError:
+        return _uncertified("coarse solve", n, k)
+    diag, sub = _tridiagonal(pot, h)
+    off = float(sub[0])
+
+    ulp = np.finfo(float).eps
+    norm = max(float(np.max(np.abs(diag[1:-1]))) + 2.0 * abs(off),
+               abs(float(diag[0])) + abs(off), abs(float(diag[-1])) + abs(off))
+    if not math.isfinite(norm):
+        return _uncertified("residual gate", n, k)
+    gate = RESIDUAL_GATE * math.sqrt(n) * ulp * norm
+    slack = ROUNDOFF_SLACK * ulp * norm
+    start = np.random.default_rng(_START_SEED).random(n) - 0.5
+
+    def apply_t(x):
+        tx = diag * x
+        tx[1:] += off * x[:-1]
+        tx[:-1] += off * x[1:]
+        return tx
+
+    levels, radii, states = [], [], []
+    for sigma in shifts:
+        x = start
+        for _ in range(1 + MAX_REFACTORS):
+            dl, d, du, du2, ipiv, info = dgttrf(sub, diag - sigma, sub)
+            if info > 0:
+                return _uncertified("zero pivot", n, k)
+            for _ in range(INVERSE_SOLVES):
+                x, _ = dgttrs(dl, d, du, du2, ipiv, x)
+                size = float(np.linalg.norm(x))
+                if not 0.0 < size < math.inf:
+                    return _uncertified("residual gate", n, k)
+                x = x / size
+            tx = apply_t(x)
+            sigma = float(x @ tx)
+            r = float(np.linalg.norm(tx - sigma * x))
+            if r <= gate:
+                break
+        else:
+            return _uncertified("residual gate", n, k)
+        levels.append(sigma)
+        radii.append(r + slack)
+        states.append(x)
+
+    order = np.argsort(levels)
+    lam, rho = np.asarray(levels)[order], np.asarray(radii)[order]
+    if not np.all(lam[1:] - rho[1:] > lam[:-1] + rho[:-1]):
+        return _uncertified("overlap", n, k)
+    # Sturm count on (Gershgorin lower bound, top of the highest interval]
+    # (stebz range 1: by value); a tolerance wider than that interval stops
+    # stebz before any bisection.
+    lower = min(float(np.min(diag[1:-1])) + 2.0 * off,
+                float(diag[0]) + off, float(diag[-1]) + off) - slack
+    upper = float(lam[-1] + rho[-1])
+    count, *_, info = dstebz(diag, sub, 1, lower, upper, 0, 0, 2.0 * (upper - lower), "E")
+    if info != 0 or count != k:
+        return _uncertified("Sturm count", n, k)
+    if not vectors:
+        return lam, None
+    return lam, np.array([states[i] for i in order]).T
+
+
 def eigensolve(v: Callable, grid: Grid, k: int, vectors: bool = True):
     """Lowest k eigenpairs of the boxed Hamiltonian -(1/2) d2/dx2 + v.
 
     Returns (energies ascending, eigenvectors as columns, l2-normalized).
-    The tridiagonal problem is solved by bisection plus inverse iteration,
-    which is machine-accurate for the discrete operator; what remains is the
-    O(h^2) discretization error of the stencil itself.  With vectors=False
-    the inverse iteration is skipped and (energies, None) comes back; the
-    bisection is the same, so the energies keep their bits.
+    When (N - 1) is a multiple of COARSEN and the coarse grid has at least
+    max(MIN_COARSE_POINTS, 4k + 1) points, the levels of the box sampled on
+    every COARSEN-th point seed shifted inverse iteration on the full grid;
+    a residual bound per level, disjoint error intervals and one Sturm count
+    certify that the result is the k lowest eigenpairs, each energy within
+    its residual plus roundoff.  Otherwise, or when the certificate fails
+    (logged at DEBUG on qespair.verify), LAPACK's bisection plus inverse
+    iteration solves the full grid.  Either way the result is accurate to
+    the roundoff of the discrete operator; what remains is the O(h^2)
+    discretization error of the stencil itself.  With vectors=False only
+    the energies come back, as (energies, None), with the same bits.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > grid.N // 4:
         raise ValueError("k is too large for this grid")
     pot = _sample_finite(v, grid, "potential")
-    h2 = grid.h * grid.h
-    diag = 1.0 / h2 + pot
-    off = np.full(grid.N - 1, -0.5 / h2)
+    coarse_points = (grid.N - 1) // COARSEN + 1
     try:
-        if not vectors:
-            return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                    select_range=(0, k - 1)), None
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+        if (grid.N - 1) % COARSEN == 0 and coarse_points >= max(MIN_COARSE_POINTS, 4 * k + 1):
+            certified = _certified_levels(pot, grid.h, k, vectors)
+            if certified is not None:
+                return certified
+        return _lapack_levels(*_tridiagonal(pot, grid.h), k, vectors)
     except np.linalg.LinAlgError as exc:
         raise QueryRangeError(f"the eigensolver did not converge on the grid "
                               f"[-{grid.L!r}, {grid.L!r}] with {grid.N} points ({exc})") from exc

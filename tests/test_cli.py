@@ -168,6 +168,12 @@ class TestValidation:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("slope", ["1e-300", "3e-310"], ids=["normal", "subnormal"])
+    def test_tiny_seed_slope_is_refused_by_the_potential_sampling(self, slope, capsys):
+        code, out, err = run(["verify", "--family", "custom", "--expr", f"x*{slope}"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: potential is not finite on the grid [-50.0, 50.0]\n"
+
     def test_inadmissible_expression(self, capsys):
         code, _, err = run(["build", "--family", "custom", "--expr", "sin(x)"], capsys)
         assert code == 2

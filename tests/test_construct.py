@@ -207,6 +207,23 @@ class TestBuildFromWplus:
         model = build_from_wplus(parse_generator("2*x + x^3"))
         assert model.provenance["route"] == "wplus-generator"
 
+    def test_slope_at_the_node_is_read_once_after_the_zero_gate(self):
+        gen = parse_generator("x^3 + x - 0.5")
+        x0 = find_single_zero(gen)
+        at_node = collections.Counter()
+
+        def counting(order):
+            fn = getattr(gen, order)
+
+            def call(x):
+                at_node[order] += np.ndim(x) == 0 and float(x) == x0
+                return fn(x)
+            return call
+
+        build_from_wplus(dataclasses.replace(gen, deriv1=counting("deriv1")))
+        # one read in find_single_zero's residual gate, one for eps and the quotient
+        assert at_node["deriv1"] == 2
+
     def test_reversed_seed_fails_admissibility(self):
         with pytest.raises(GeneratorAdmissibilityError):
             build_from_wplus(parse_generator("-x"))

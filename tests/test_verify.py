@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial import hermite
 from scipy.integrate import simpson
+from scipy.linalg import eigh_tridiagonal
 
 from qespair.construct import build_from_wplus
 from qespair.expressions import parse_generator
-from qespair.families import PolyWplusParams, poly_wplus_model
+from qespair.families import FAMILIES, PolyWplusParams, poly_wplus_model
 from qespair.verify import (Grid, Tolerances, _simpson, auto_grid, count_nodes, eigensolve,
                             inner_product, rayleigh_quotient, verify_model)
 
@@ -84,6 +86,80 @@ class TestEigensolve:
             alone, none = eigensolve(v, grid, 3, vectors=False)
             assert none is None and vectors.shape == (4001, 3)
             assert np.array_equal(alone, energies)
+
+
+def lapack_levels(v, grid, k):
+    """eigh_tridiagonal on the same stencil, and the 1-norm of its matrix."""
+    h2 = grid.h * grid.h
+    diag = 1.0 / h2 + v(grid.points())
+    off = np.full(grid.N - 1, -0.5 / h2)
+    column_sums = np.abs(diag) + np.abs(np.concatenate([[0.0], off])) \
+        + np.abs(np.concatenate([off, [0.0]]))
+    energies, vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    return energies, vectors, float(np.max(column_sums))
+
+
+def narrow_well(x):
+    """Oscillator plus a Gaussian well far narrower than every 8th grid step."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * x * x - 400.0 * np.exp(-((x - 0.02) / 0.004) ** 2)
+
+
+def _oracle_cases():
+    cases = [pytest.param(harmonic, 10.0, id="harmonic")]
+    for name, spec in FAMILIES.items():
+        model = spec.build(dict(spec.defaults))
+        cases.append(pytest.param(model.potentials.v_minus, auto_grid(model).L, id=name))
+    # a narrow well the coarse grid under-resolves: three solves leave E0 off
+    # by 5 eps ||T||_1 until the residual gate refactors at the Rayleigh quotient
+    model = FAMILIES["poly-phi"].build({"a": 0.069, "b": 1.27, "epsilon": 1.0})
+    cases.append(pytest.param(model.potentials.v_minus, auto_grid(model).L, id="narrow-poly-phi"))
+    return cases
+
+
+class TestCertifiedInverseIteration:
+    @pytest.mark.parametrize("n", [4001, 32001])
+    @pytest.mark.parametrize("v, L", _oracle_cases())
+    def test_agrees_with_lapack_bisection(self, v, L, n, caplog):
+        grid = Grid(L, n)
+        with caplog.at_level(logging.DEBUG, logger="qespair.verify"):
+            energies, vectors = eigensolve(v, grid, 4)
+            alone, _ = eigensolve(v, grid, 4, vectors=False)
+        assert caplog.records == []  # certified: no fallback
+        ref_energies, ref_vectors, norm = lapack_levels(v, grid, 4)
+        assert np.max(np.abs(energies - ref_energies)) <= np.finfo(float).eps * norm
+        assert np.all(np.diff(energies) > 0)
+        assert np.allclose(np.linalg.norm(vectors, axis=0), 1.0, rtol=0, atol=1e-14)
+        assert np.min(np.abs(np.sum(vectors * ref_vectors, axis=0))) >= 1.0 - 1e-12
+        assert np.array_equal(alone, energies)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_missed_bound_state_falls_back_to_lapack(self, k, caplog):
+        # Every 8th point misses the well, so the shifts start at 0.4999
+        # while the ground level is -3.96: only the certificate sees it.
+        grid = Grid(10.0, 4001)
+        with caplog.at_level(logging.DEBUG, logger="qespair.verify"):
+            energies, vectors = eigensolve(narrow_well, grid, k)
+            alone, _ = eigensolve(narrow_well, grid, k, vectors=False)
+        ref_energies, ref_vectors, _ = lapack_levels(narrow_well, grid, k)
+        assert energies[0] == pytest.approx(-3.9617, abs=1e-4)
+        assert np.array_equal(energies, ref_energies)
+        assert np.array_equal(vectors, ref_vectors)
+        assert np.array_equal(alone, ref_energies)
+        reason = "Sturm count" if k == 1 else "overlap"
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.DEBUG, f"eigensolve certificate failed ({reason}) at N=4001, k={k}; "
+                            f"using bisection")] * 2
+
+    @pytest.mark.parametrize("n", [4003, 101], ids=["n-1-not-a-multiple-of-8", "coarse-grid-too-small"])
+    def test_ineligible_grids_keep_lapack_bits(self, n, caplog):
+        grid = Grid(10.0, n)
+        with caplog.at_level(logging.DEBUG, logger="qespair.verify"):
+            energies, vectors = eigensolve(harmonic, grid, 3)
+        ref_energies, ref_vectors, _ = lapack_levels(harmonic, grid, 3)
+        assert np.array_equal(energies, ref_energies)
+        assert np.array_equal(vectors, ref_vectors)
+        assert caplog.records == []  # not a certificate failure
 
 
 class TestCountNodes:
