@@ -20,9 +20,7 @@ from .families import (FAMILIES, PolyPhiParams, PolyWplusParams, SinhWplusParams
                        poly_phi_ces_model, poly_phi_generator, poly_phi_model,
                        poly_wplus_generator, poly_wplus_model,
                        sinh_wplus_generator, sinh_wplus_model)
-from .functions import (CumulativeIntegral, DerivativeDiagnostic, GeneratorFunction,
-                        cumulative_integral, from_eval_only, make_analytic,
-                        validate_derivatives)
+from .functions import CumulativeIntegral, GeneratorFunction, cumulative_integral, make_analytic
 from .susy import (Eigenstate, PotentialPair, SignConditionCheck, Superpotential,
                    apply_raising, check_sign_condition, ground_state_minus,
                    make_superpotential, pair_potentials, riccati_residual)
@@ -33,8 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BrokenSusyError", "ConfigError", "CrossCheckResult", "CumulativeIntegral",
-    "DerivativeDiagnostic", "Eigenstate", "ExpressionError", "FAMILIES",
-    "GeneratorAdmissibilityError", "GeneratorFunction", "Grid",
+    "Eigenstate", "ExpressionError", "FAMILIES", "GeneratorAdmissibilityError",
+    "GeneratorFunction", "Grid",
     "InadmissibleModelError", "NonFiniteIntegrandError", "ParameterError",
     "PhiNotMonotoneError", "PolyPhiParams", "PolyWplusParams", "PotentialPair",
     "QesError", "QesModel", "QueryRangeError", "SignConditionCheck", "SinhWplusParams",
@@ -42,11 +40,10 @@ __all__ = [
     "auto_grid", "build_from_phi", "build_from_wplus", "ces_epsilon",
     "ces_exact_spectrum", "ces_excited_states", "check_sign_condition",
     "count_nodes", "cross_check_constructions", "cumulative_integral",
-    "eigensolve", "epsilon_from_wplus", "find_single_zero", "from_eval_only",
+    "eigensolve", "epsilon_from_wplus", "find_single_zero",
     "ground_state_minus", "inner_product", "make_analytic", "make_superpotential",
     "pair_potentials", "parse_generator", "poly_phi_ces_model",
     "poly_phi_generator", "poly_phi_model", "poly_wplus_generator",
     "poly_wplus_model", "rayleigh_quotient", "riccati_residual",
-    "sinh_wplus_generator", "sinh_wplus_model", "validate_derivatives",
-    "verify_model",
+    "sinh_wplus_generator", "sinh_wplus_model", "verify_model",
 ]

@@ -164,11 +164,12 @@ def make_model(cfg: ModelConfig):
 
 
 def _resolve_grid(cfg: ModelConfig, model) -> Grid:
+    """The configured box, or the auto grid at the configured boundary decay."""
     n = _number(cfg.grid.get("N", 4001), "grid.N", int)
     if n < 3 or n % 2 == 0:
         raise ConfigError(f"grid N (--grid-n) must be an odd integer >= 3 (got {n})")
     if "L" not in cfg.grid:
-        return auto_grid(model, n_points=n)
+        return auto_grid(model, _resolve_tolerances(cfg).boundary_decay, n)
     L = _number(cfg.grid["L"], "grid.L")
     try:
         return Grid(L, n)

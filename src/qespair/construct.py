@@ -80,9 +80,7 @@ class QesModel:
     potentials: PotentialPair
     psi0: Eigenstate
     psi1: Eigenstate
-    w_plus: Callable
     scale_hint: float
-    provenance: dict
     closed_form: Optional["ClosedForms"] = None
     phi: Optional[Callable] = None
 
@@ -112,8 +110,8 @@ class ClosedForms:
     psi1: Optional[Callable] = None
 
 
-def find_single_zero(f: GeneratorFunction, search_radius=None) -> float:
-    """Locate the unique zero crossing of f on [-R, R].
+def find_single_zero(f: GeneratorFunction) -> float:
+    """Locate the unique zero crossing of f on [-R, R], R = 8 scale hints.
 
     Scans the 401-point grid to certify there is exactly one crossing, then
     polishes the bracket by Newton steps on f and f' that keep a sign bracket
@@ -121,7 +119,7 @@ def find_single_zero(f: GeneratorFunction, search_radius=None) -> float:
     crossings when the surrounding signs differ, and are returned as they are.
     """
     name = f.label or "W+"
-    radius = PROBE_HALF_WIDTH * f.scale_hint if search_radius is None else float(search_radius)
+    radius = PROBE_HALF_WIDTH * f.scale_hint
     xs = np.linspace(-radius, radius, PROBE_POINTS)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.asarray(f.eval(xs), dtype=float)
@@ -283,10 +281,7 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
         return (d1 - wp * w1(x, wp, d1)) * np.exp(-integral1(x))
 
     psi1 = Eigenstate(eps, _scalar_friendly(psi1_fn), 1, _scalar_friendly(psi1_prime))
-
-    provenance = {"route": "wplus-generator", "numeric_derivatives": w_plus.numeric_derivatives}
-    return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1,
-                    _scalar_friendly(w_plus.eval), s, provenance)
+    return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1, s)
 
 
 def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
@@ -299,10 +294,9 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
 
     and the two known states of V_minus are
 
-        psi0 = (phi')^(-1/2) exp(-eps int phi/phi'),    psi1 = phi * psi0.
+        psi0 = (phi')^(-1/2) exp(-eps int phi/phi'),    psi1 = phi * psi0,
 
-    The combined superpotential W + W1 = 2*eps*phi/phi' is recorded on the
-    model for consistency checks against the other route.
+    so the combined superpotential is W + W1 = 2*eps*phi/phi'.
     """
     eps = float(epsilon)
     if not (eps > 0):
@@ -363,13 +357,7 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
 
     psi0 = Eigenstate(0.0, _scalar_friendly(psi0_fn), 0, _scalar_friendly(psi0_prime))
     psi1 = Eigenstate(eps, _scalar_friendly(psi1_fn), 1, _scalar_friendly(psi1_prime))
-
-    def w_plus(x):
-        return 2.0 * eps * phi.eval(x) / phi.deriv1(x)
-
-    provenance = {"route": "phi-generator", "numeric_derivatives": phi.numeric_derivatives}
-    return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1,
-                    _scalar_friendly(w_plus), s, provenance, phi=phi.eval)
+    return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1, s, phi=phi.eval)
 
 
 @dataclass(frozen=True)
@@ -392,9 +380,9 @@ def cross_check_constructions(phi: GeneratorFunction, epsilon: float) -> CrossCh
 
     The phi route's combined superpotential 2*eps*phi/phi' is re-used as the
     seed of the W_plus route.  Its first two derivatives are analytic in phi;
-    the third (needed only for the Taylor patch at the node) is a fourth-order
+    the third, read once at the node for the Taylor patch, is a fourth-order
     central difference of the analytic second derivative, accurate to ~1e-12
-    relative, and flagged.  Potentials are compared in sup norm over the probe
+    relative.  Potentials are compared in sup norm over the probe
     grid; wavefunctions are grid-normalized first.
     """
     model_b = build_from_phi(phi, epsilon)
@@ -421,8 +409,7 @@ def cross_check_constructions(phi: GeneratorFunction, epsilon: float) -> CrossCh
         return (-wp2(x + 2 * h) + 8.0 * wp2(x + h)
                 - 8.0 * wp2(x - h) + wp2(x - 2 * h)) / (12.0 * h)
 
-    seed = GeneratorFunction(wp, wp1, wp2, wp3, s, label="2*eps*phi/phi'",
-                             numeric_derivatives=True)
+    seed = GeneratorFunction(wp, wp1, wp2, wp3, s, label="2*eps*phi/phi'")
     model_a = build_from_wplus(seed)
 
     xs = model_b.probe_points()

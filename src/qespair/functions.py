@@ -4,7 +4,10 @@ Everything downstream consumes functions through two small types:
 
 * :class:`GeneratorFunction` bundles a callable with its first three analytic
   derivatives and a characteristic length scale.  Callables must accept either
-  a float or a numpy array and act elementwise.
+  a float or a numpy array and act elementwise.  Seeds supply exact
+  derivatives: Horner for polynomials, closed forms for sinh, Taylor
+  recurrences for parsed expressions.  The one central difference is the
+  third derivative of the W_plus seed that cross_check_constructions builds.
 * :class:`CumulativeIntegral` is a primitive of an integrand, anchored so that
   the value at ``base_point`` is exactly zero.  A fill keeps only the leaves of
   its adaptive split, each with its primitive and its start value (a running
@@ -26,10 +29,7 @@ from .errors import NonFiniteIntegrandError, ParameterError, QueryRangeError
 __all__ = [
     "GeneratorFunction",
     "CumulativeIntegral",
-    "DerivativeDiagnostic",
     "make_analytic",
-    "from_eval_only",
-    "validate_derivatives",
     "cumulative_integral",
 ]
 
@@ -62,9 +62,7 @@ class GeneratorFunction:
     ``eval`` and ``deriv1``..``deriv3`` take a float or ndarray and return the
     same shape.  ``scale_hint`` is the characteristic length over which the
     function varies; probe grids, quadrature panels and finite-difference
-    steps are all expressed in units of it.  ``numeric_derivatives`` marks
-    instances whose derivatives were manufactured by finite differences rather
-    than supplied analytically; reports surface the flag.
+    steps are all expressed in units of it.
     """
 
     eval: Callable
@@ -73,7 +71,6 @@ class GeneratorFunction:
     deriv3: Callable
     scale_hint: float = 1.0
     label: str = ""
-    numeric_derivatives: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.scale_hint) and self.scale_hint > 0):
@@ -86,72 +83,6 @@ class GeneratorFunction:
 def make_analytic(eval, deriv1, deriv2, deriv3, scale_hint=1.0, label=""):
     """Bundle a function and its three analytic derivatives."""
     return GeneratorFunction(eval, deriv1, deriv2, deriv3, float(scale_hint), label)
-
-
-def from_eval_only(eval, scale_hint=1.0, label=""):
-    """Build a GeneratorFunction whose derivatives are central differences.
-
-    The fallback exists for callers that genuinely have no analytic
-    derivatives.  Each order uses a step balancing truncation against
-    rounding noise, which still leaves the third difference near 1e-6
-    relative accuracy at best, so the result is flagged and reports carry
-    the flag through.
-    """
-    s = float(scale_hint)
-    h1, h2, h3 = s * 1e-5, s * 1e-4, s * 1.2e-3
-
-    def d1(x):
-        return (eval(x + h1) - eval(x - h1)) / (2.0 * h1)
-
-    def d2(x):
-        return (eval(x + h2) - 2.0 * eval(x) + eval(x - h2)) / (h2 * h2)
-
-    def d3(x):
-        return (eval(x + 2 * h3) - 2.0 * eval(x + h3)
-                + 2.0 * eval(x - h3) - eval(x - 2 * h3)) / (2.0 * h3 ** 3)
-
-    return GeneratorFunction(eval, d1, d2, d3, s, label, numeric_derivatives=True)
-
-
-@dataclass(frozen=True)
-class DerivativeDiagnostic:
-    """One derivative-consistency violation found by validate_derivatives."""
-
-    point: float
-    order: int
-    supplied: float
-    estimate: float
-    rel_error: float
-    note: str = ""
-
-
-def validate_derivatives(f: GeneratorFunction, sample_points, tolerance=1e-5):
-    """Cross-check each derivative against differences of the one below it.
-
-    deriv1 is compared with central differences of eval, deriv2 with central
-    differences of deriv1, deriv3 with central differences of deriv2, all at
-    step scale_hint*1e-4.  Returns a list of diagnostics for points where the
-    relative discrepancy exceeds ``tolerance``; an empty list means the chain
-    is consistent.  Relative error is measured against
-    max(|supplied|, |estimate|, 1) so that near-zero derivatives are compared
-    absolutely.
-    """
-    h = f.scale_hint * 1e-4
-    chain = [(f.eval, f.deriv1, 1), (f.deriv1, f.deriv2, 2), (f.deriv2, f.deriv3, 3)]
-    out = []
-    for x in np.atleast_1d(np.asarray(sample_points, dtype=float)):
-        for lower, supplied_fn, order in chain:
-            supplied = float(supplied_fn(x))
-            estimate = float((lower(x + h) - lower(x - h)) / (2.0 * h))
-            if not (math.isfinite(supplied) and math.isfinite(estimate)):
-                out.append(DerivativeDiagnostic(float(x), order, supplied, estimate,
-                                                math.inf, note="non-finite value"))
-                continue
-            denom = max(abs(supplied), abs(estimate), 1.0)
-            rel = abs(estimate - supplied) / denom
-            if rel > tolerance:
-                out.append(DerivativeDiagnostic(float(x), order, supplied, estimate, rel))
-    return out
 
 
 def _gl16(f, lo, hi):

@@ -128,36 +128,23 @@ class SignConditionCheck:
     """Outcome of the asymptotic sign probe, with the sampled values."""
 
     ok: bool
-    probe_radius: float
     right_samples: tuple
     left_samples: tuple
-    warnings: tuple
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def check_sign_condition(W: Superpotential, probe_radius=None) -> SignConditionCheck:
-    """Probe W at radius x {1, 2, 4} on both sides of the origin.
+def check_sign_condition(W: Superpotential) -> SignConditionCheck:
+    """Probe W at 5, 10 and 20 scale hints on both sides of the origin.
 
     Passes when every right probe is positive and every left probe negative.
-    |W| shrinking outward cannot certify the asymptotics either way, so it is
-    recorded as a warning rather than a failure.
     """
-    if probe_radius is None:
-        probe_radius = 5.0 * W.scale_hint
-    if probe_radius < 5.0 * W.scale_hint:
-        raise ValueError("probe_radius must be at least 5*scale_hint")
-    radii = probe_radius * np.array([1.0, 2.0, 4.0])
+    radii = 5.0 * W.scale_hint * np.array([1.0, 2.0, 4.0])
     right = tuple(float(W.w(r)) for r in radii)
     left = tuple(float(W.w(-r)) for r in radii)
     ok = all(v > 0 for v in right) and all(v < 0 for v in left)
-    warnings = []
-    for name, vals in (("right", right), ("left", left)):
-        mags = [abs(v) for v in vals]
-        if not (mags[0] <= mags[1] <= mags[2]):
-            warnings.append(f"|W| not monotone outward on the {name} side: {vals}")
-    return SignConditionCheck(ok, float(probe_radius), right, left, tuple(warnings))
+    return SignConditionCheck(ok, right, left)
 
 
 def ground_state_minus(W: Superpotential) -> Eigenstate:

@@ -96,14 +96,14 @@ class Tolerances:
         return self.energy * max(1.0, epsilon)
 
 
-def auto_grid(model: QesModel, target_decay: float = 1e-12, n_points: int = 4001,
-              warn_sink: Optional[list] = None) -> Grid:
+def auto_grid(model: QesModel, target_decay: float = 1e-12, n_points: int = 4001) -> Grid:
     """Smallest symmetric box whose walls both known states have decayed at.
 
     L is scanned outward in steps of the model's scale hint until both
     |psi0| and |psi1| at +-L drop below target_decay times their own peak,
-    capped at 50 scale hints (with a diagnostic when the cap bites).  Each
-    step samples both states at [L, -L] in one model.states call.
+    capped at 50 scale hints (logged as a WARNING on qespair.verify when the
+    cap bites).  Each step samples both states at [L, -L] in one
+    model.states call.
     """
     s = model.scale_hint
     span = np.linspace(model.x0 - 10.0 * s, model.x0 + 10.0 * s, 801)
@@ -117,10 +117,8 @@ def auto_grid(model: QesModel, target_decay: float = 1e-12, n_points: int = 4001
         if all(e <= target_decay * peak for e, peak in zip(edges, peaks)):
             return Grid(L, n_points)
         steps += 1
-    if warn_sink is not None:
-        warn_sink.append(
-            f"decay target {target_decay} not reached inside L = {cap} scale hints; "
-            f"using the capped box")
+    _log.warning("decay target %s not reached inside L = %d scale hints; using the capped box",
+                 target_decay, cap)
     return Grid(cap * s, n_points)
 
 
@@ -198,8 +196,9 @@ def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
         tx[:-1] += off * x[1:]
         return tx
 
-    levels, radii, states = [], [], []
-    for sigma in shifts:
+    levels, radii = np.empty(k), np.empty(k)
+    states = np.empty((n, k), order="F") if vectors else None
+    for j, sigma in enumerate(shifts):
         x = start
         for _ in range(1 + MAX_REFACTORS):
             dl, d, du, du2, ipiv, info = dgttrf(sub, diag - sigma, sub)
@@ -218,12 +217,12 @@ def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
                 break
         else:
             return _uncertified("residual gate", n, k)
-        levels.append(sigma)
-        radii.append(r + slack)
-        states.append(x)
+        levels[j], radii[j] = sigma, r + slack
+        if vectors:
+            states[:, j] = x
 
     order = np.argsort(levels)
-    lam, rho = np.asarray(levels)[order], np.asarray(radii)[order]
+    lam, rho = levels[order], radii[order]
     if not np.all(lam[1:] - rho[1:] > lam[:-1] + rho[:-1]):
         return _uncertified("overlap", n, k)
     # Sturm count on (Gershgorin lower bound, top of the highest interval]
@@ -237,7 +236,9 @@ def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
         return _uncertified("Sturm count", n, k)
     if not vectors:
         return lam, None
-    return lam, np.array([states[i] for i in order]).T
+    if np.any(order != np.arange(k)):  # copies only when refinement reordered the levels
+        states[:] = states[:, order]
+    return lam, states
 
 
 def eigensolve(v: Callable, grid: Grid, k: int, vectors: bool = True):
@@ -289,18 +290,17 @@ def inner_product(f: Callable, g: Callable, grid: Grid) -> float:
     return _simpson(y, grid.h)
 
 
-def count_nodes(values, floor: Optional[float] = None) -> int:
+def count_nodes(values) -> int:
     """Strict sign changes among entries that clear the noise floor.
 
-    Entries with magnitude at or below the floor (default 1e-9 of the largest
-    magnitude) are dropped before counting, which suppresses both roundoff
-    zeros in the tails and the exact zero a node can land on.
+    Entries with magnitude at or below 1e-9 of the largest magnitude are
+    dropped before counting, which suppresses both roundoff zeros in the
+    tails and the exact zero a node can land on.
     """
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         return 0
-    if floor is None:
-        floor = 1e-9 * float(np.max(np.abs(vals)))
+    floor = 1e-9 * float(np.max(np.abs(vals)))
     survivors = vals[np.abs(vals) > floor]
     if survivors.size < 2:
         return 0
@@ -359,11 +359,8 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     analytic states satisfy the differential equation pointwise.
     """
     tol = tolerances or Tolerances()
-    diagnostics: list = []
     if grid is None:
-        grid = auto_grid(model, tol.boundary_decay, warn_sink=diagnostics)
-    if model.provenance.get("numeric_derivatives"):
-        diagnostics.append("generator derivatives were finite-difference fallbacks")
+        grid = auto_grid(model, tol.boundary_decay)
 
     x = grid.points()
     eps = model.epsilon
@@ -420,6 +417,7 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
         "psi0": max(abs(psi0_s[0]), abs(psi0_s[-1])) / float(np.max(np.abs(psi0_s))),
         "psi1": max(abs(psi1_s[0]), abs(psi1_s[-1])) / float(np.max(np.abs(psi1_s))),
     }
+    diagnostics = []
     for name, ratio in boundary.items():
         if ratio > tol.boundary_decay:
             diagnostics.append(

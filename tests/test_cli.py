@@ -14,7 +14,12 @@ import pytest
 
 import qespair
 from qespair.cli import main
-from qespair.families import PolyWplusParams, poly_wplus_model
+from qespair.families import FAMILIES, PolyWplusParams, poly_wplus_model
+from qespair.verify import Tolerances, auto_grid, verify_model
+
+
+CAP_NOTICE = ("warning: decay target 1e-12 not reached inside L = 50 scale hints; "
+              "using the capped box")
 
 
 def run(args, capsys):
@@ -165,14 +170,16 @@ class TestValidation:
         code, out, err = run(["verify"] + args, capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        *notices, error = err.splitlines()  # a seed too flat to decay also hits the box cap
+        assert error.startswith("error:") and set(notices) <= {CAP_NOTICE}
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("slope", ["1e-300", "3e-310"], ids=["normal", "subnormal"])
     def test_tiny_seed_slope_is_refused_by_the_potential_sampling(self, slope, capsys):
         code, out, err = run(["verify", "--family", "custom", "--expr", f"x*{slope}"], capsys)
         assert code == 2 and out == ""
-        assert err == "error: potential is not finite on the grid [-50.0, 50.0]\n"
+        assert err.splitlines() == [CAP_NOTICE,
+                                    "error: potential is not finite on the grid [-50.0, 50.0]"]
 
     def test_inadmissible_expression(self, capsys):
         code, _, err = run(["build", "--family", "custom", "--expr", "sin(x)"], capsys)
@@ -249,6 +256,23 @@ class TestConfigFile:
         code, out, _ = run(["verify", "--config", str(cfg), "--epsilon", "1.5"], capsys)
         assert code == 0
         assert json.loads(out)["config"]["params"]["epsilon"] == 1.5
+
+    def test_boundary_decay_sizes_the_auto_box_as_the_library_does(self, tmp_path, capsys):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"family": "poly-phi",
+                                   "tolerances": {"boundary_decay": 1e-3}}))
+        spec = FAMILIES["poly-phi"]
+        model = spec.build(dict(spec.defaults))
+        library = verify_model(model, tolerances=Tolerances(boundary_decay=1e-3)).grid
+        assert library.L < auto_grid(model).L
+        code, out, _ = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["grid"] == {"L": library.L, "N": library.N}
+        table = tmp_path / "table.csv"
+        code, _, _ = run(["build", "--config", str(cfg), "--emit", str(table)], capsys)
+        assert code == 0
+        with open(table, newline="") as fh:
+            assert float(list(csv.DictReader(fh))[-1]["x"]) == library.L
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "model.json"
@@ -434,6 +458,12 @@ class TestWarnings:
         lines = err.splitlines()
         assert len(lines) == 2
         assert all(line.startswith("warning: cumulative integral:") for line in lines)
+
+    def test_auto_grid_cap_notice_is_printed(self, capsys):
+        code, out, err = run(["verify", "--family", "custom", "--expr", "0.01*x"], capsys)
+        assert code in (0, 1)
+        assert json.loads(out)["grid"]["L"] == 50.0
+        assert err.splitlines() == [CAP_NOTICE]
 
     def test_repeated_calls_neither_stack_handlers_nor_share_dedup_state(self, capsys):
         handlers = list(logging.getLogger("qespair").handlers)

@@ -88,7 +88,6 @@ STATE_MODELS = {
 @pytest.mark.parametrize("name", sorted(STATE_MODELS))
 def test_joint_states_equal_each_state_bitwise(name):
     model = STATE_MODELS[name]()
-    assert (model.phi is None) == (model.provenance["route"] == "wplus-generator")
     grid = auto_grid(model)
     edges = np.array([grid.L, -grid.L])
     for xs, single in ((grid.points(), False), (edges, True)):
@@ -137,11 +136,13 @@ class TestFindSingleZero:
         with pytest.raises(GeneratorAdmissibilityError, match="multiple zeros"):
             find_single_zero(parse_generator("x^3 - 3*x"))
 
-    def test_search_radius_override(self):
-        g = parse_generator("x - 6")
+    def test_zero_beyond_the_scan_radius_is_refused(self):
+        # the scan covers 8 scale hints on either side of the origin
         with pytest.raises(GeneratorAdmissibilityError, match="no zero crossing"):
-            find_single_zero(g, search_radius=4.0)
-        assert find_single_zero(g, search_radius=10.0) == pytest.approx(6.0, abs=1e-12)
+            find_single_zero(parse_generator("x - 9"))
+        assert find_single_zero(parse_generator("x - 6")) == pytest.approx(6.0, abs=1e-12)
+        assert find_single_zero(parse_generator("x - 9", scale_hint=2.0)) == pytest.approx(
+            9.0, abs=1e-12)
 
     @pytest.mark.parametrize("expr", ["x^3 + x - 0.5", "sinh(x - 0.4)",
                                       "2*x + tanh(x - 0.3)",
@@ -179,10 +180,11 @@ class TestEpsilonFromSlope:
 
 class TestBuildFromWplus:
     def test_splitting_reassembles_the_seed(self):
-        model = build_from_wplus(parse_generator("2*x + x^3"))
+        seed = parse_generator("2*x + x^3")
+        model = build_from_wplus(seed)
         xs = model.probe_points()
         total = model.W.w(xs) + model.W1.w(xs)
-        assert np.max(np.abs(total - model.w_plus(xs))) < 1e-12
+        assert np.max(np.abs(total - seed.eval(xs))) < 1e-12
 
     def test_first_excited_state_vanishes_at_the_node(self):
         model = build_from_wplus(parse_generator("sinh(x) - sinh(0.4)"))
@@ -205,7 +207,7 @@ class TestBuildFromWplus:
 
     def test_provenance_records_the_route(self):
         model = build_from_wplus(parse_generator("2*x + x^3"))
-        assert model.provenance["route"] == "wplus-generator"
+        assert model.phi is None
 
     def test_slope_at_the_node_is_read_once_after_the_zero_gate(self):
         gen = parse_generator("x^3 + x - 0.5")
@@ -263,7 +265,6 @@ class TestBuildFromPhi:
         model = build_from_phi(phi, 1.5)
         xs = np.linspace(-2, 2, 9)
         expected = 2.0 * 1.5 * phi.eval(xs) / phi.deriv1(xs)
-        assert np.max(np.abs(model.w_plus(xs) - expected)) < 1e-13
         assert np.max(np.abs(model.W.w(xs) + model.W1.w(xs) - expected)) < 1e-13
 
     def test_level_linking_identity_is_algebraic(self):
@@ -280,16 +281,17 @@ class TestBuildFromPhi:
             build_from_phi(cubic_phi(), 0.0)
 
     def test_provenance_records_the_route(self):
-        model = build_from_phi(cubic_phi(), 1.0)
-        assert model.provenance["route"] == "phi-generator"
+        phi = cubic_phi()
+        model = build_from_phi(phi, 1.0)
+        assert model.phi is phi.eval
 
 
 class TestCrossCheck:
     def test_routes_agree_for_the_cubic_shape(self):
         result = cross_check_constructions(cubic_phi(), 1.0)
         assert result.max_discrepancy < 1e-8
-        assert result.model_phi.provenance["route"] == "phi-generator"
-        assert result.model_wplus.provenance["route"] == "wplus-generator"
+        assert result.model_phi.phi is not None
+        assert result.model_wplus.phi is None
 
     def test_routes_agree_for_a_parsed_shape(self):
         result = cross_check_constructions(parse_generator("x + x^3/3"), 2.0)

@@ -1,4 +1,4 @@
-"""Tests for generator bundles, derivative validation, and quadrature."""
+"""Tests for generator bundles and quadrature."""
 
 import logging
 import math
@@ -16,7 +16,7 @@ from qespair.errors import NonFiniteIntegrandError, QueryRangeError
 from qespair.expressions import parse_generator
 from qespair.families import PolyPhiParams, poly_phi_model
 from qespair.functions import (CumulativeIntegral, GeneratorFunction, cumulative_integral,
-                               from_eval_only, make_analytic, validate_derivatives)
+                               make_analytic)
 
 
 def lorentzian(t):
@@ -42,32 +42,6 @@ class TestGeneratorFunction:
         with pytest.raises(ValueError, match="scale_hint"):
             GeneratorFunction(np.sin, np.cos, lambda x: -np.sin(x),
                               lambda x: -np.cos(x), scale_hint=0.0)
-
-    def test_analytic_bundle_not_flagged(self):
-        assert gaussian_bundle().numeric_derivatives is False
-
-
-class TestValidateDerivatives:
-    def test_consistent_chain_is_clean(self):
-        assert validate_derivatives(gaussian_bundle(), np.linspace(-2, 2, 9)) == []
-
-    def test_wrong_second_derivative_is_reported(self):
-        g = gaussian_bundle()
-        broken = make_analytic(g.eval, g.deriv1,
-                               lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                               g.deriv3)
-        diags = validate_derivatives(broken, [0.0, 0.5])
-        assert diags and all(d.order >= 2 for d in diags)
-        assert any(d.order == 2 and d.rel_error > 1e-3 for d in diags)
-
-    def test_eval_only_fallback_tracks_true_derivatives(self):
-        g = from_eval_only(lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2))
-        assert g.numeric_derivatives is True
-        exact = gaussian_bundle()
-        for x in (-1.3, 0.0, 0.7):
-            assert g.deriv1(x) == pytest.approx(exact.deriv1(x), abs=1e-8)
-            assert g.deriv2(x) == pytest.approx(exact.deriv2(x), abs=1e-6)
-            assert g.deriv3(x) == pytest.approx(exact.deriv3(x), abs=1e-4)
 
 
 class TestCumulativeIntegral:

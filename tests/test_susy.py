@@ -38,20 +38,12 @@ class TestSignCondition:
     def test_confining_superpotential_passes(self):
         chk = check_sign_condition(linear_superpotential())
         assert bool(chk) is True
-        assert not chk.warnings
+        assert chk.right_samples == (5.0, 10.0, 20.0)
+        assert chk.left_samples == (-5.0, -10.0, -20.0)
 
     def test_reversed_superpotential_fails(self):
         chk = check_sign_condition(linear_superpotential(-1.0))
         assert bool(chk) is False
-
-    def test_probe_radius_override(self):
-        chk = check_sign_condition(linear_superpotential(), probe_radius=10.0)
-        assert bool(chk) is True
-        assert chk.probe_radius == 10.0
-
-    def test_too_small_radius_is_rejected(self):
-        with pytest.raises(ValueError, match="probe_radius"):
-            check_sign_condition(linear_superpotential(), probe_radius=0.5)
 
 
 class TestGroundState:

@@ -217,12 +217,13 @@ class TestAutoGrid:
         model = poly_wplus_model(PolyWplusParams(2.0, 1.0))
         assert auto_grid(model, n_points=801).N == 801
 
-    def test_cap_is_reported_for_very_slow_decay(self):
-        sink = []
+    def test_cap_is_reported_for_very_slow_decay(self, caplog):
         model = build_from_wplus(parse_generator("0.04*x"))
-        grid = auto_grid(model, warn_sink=sink)
+        with caplog.at_level(logging.WARNING, logger="qespair.verify"):
+            grid = auto_grid(model)
         assert grid.L == 50.0 * model.scale_hint
-        assert sink and "not reached" in sink[0]
+        assert [r.getMessage() for r in caplog.records] == [
+            "decay target 1e-12 not reached inside L = 50 scale hints; using the capped box"]
 
 
 class TestTolerances:
