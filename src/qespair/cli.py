@@ -165,7 +165,7 @@ def make_model(cfg: ModelConfig):
 
 def _resolve_grid(cfg: ModelConfig, model) -> Grid:
     """The configured box, or the auto grid at the configured boundary decay."""
-    n = _number(cfg.grid.get("N", 4001), "grid.N", int)
+    n = _number(cfg.grid.get("N", Grid.N), "grid.N", int)
     if n < 3 or n % 2 == 0:
         raise ConfigError(f"grid N (--grid-n) must be an odd integer >= 3 (got {n})")
     if "L" not in cfg.grid:

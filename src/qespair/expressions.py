@@ -4,22 +4,24 @@ The grammar is a small arithmetic language over the variable ``x``:
 numbers, ``pi``/``e``, the operators ``+ - * / ^``, parentheses, and the
 functions sin, cos, sinh, cosh, tanh, exp, ln.  ``^`` is power.  Parsing
 rides on the stdlib ``ast`` module (the grammar is a strict subset of Python
-once ``^`` is rewritten to ``**``); every node is whitelisted, so nothing
-outside the grammar evaluates.
+once ``^`` is rewritten to ``**``).  The tree is then checked and lowered
+once, in one recursive pass: a node outside the grammar is refused, and
+every other node becomes a closure from the variable's jet to its own.
 
 Differentiation is forward-mode over truncated Taylor series: a jet holds
 the coefficients c[k] = f^(k)(x)/k!, and every operation fills them in one
 order at a time by a recurrence (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., ch. 13).  An elementary function is given only by
 its value and its first-derivative rule.  Each field of the resulting
-GeneratorFunction walks the tree to its own order: ``eval`` over plain
-values, ``deriv1`` over first-order jets, and so on up to ``deriv3``.
+GeneratorFunction calls that one evaluator on a jet of its own order:
+``eval`` on order 0, ``deriv1`` on order 1, and so on up to ``deriv3``.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import operator
 
 import numpy as np
 
@@ -150,11 +152,13 @@ _FUNCTIONS = {
 }
 
 
-def _apply(name: str, g: Jet) -> Jet:
+def _elementary(name: str):
+    """The Jet -> Jet map of a function in _FUNCTIONS."""
     value, rate = _FUNCTIONS[name]
-    return g.compose(value(g.c[0]), rate)
+    return lambda g: g.compose(value(g.c[0]), rate)
 
 
+_EXP, _LN = _elementary("exp"), _elementary("ln")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
@@ -172,91 +176,68 @@ def _literal_number(node):
     return None
 
 
-def _compile(text: str) -> ast.expr:
-    source = text.replace("^", "**")
-    try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"could not parse expression {text!r}: {exc.msg}") from exc
-    _check(tree.body, text)
-    return tree.body
+# A power whose exponent is not a literal number is exp(p ln(base)).
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: lambda base, p: _EXP(p * _LN(base))}
 
 
-def _check(node: ast.expr, text: str):
-    if isinstance(node, ast.Constant):
-        if not _is_number(node.value):
-            raise ExpressionError(f"unsupported literal {node.value!r} in {text!r}")
-        return
-    if isinstance(node, ast.Name):
-        if node.id != "x" and node.id not in _CONSTANTS:
-            raise ExpressionError(f"unknown symbol {node.id!r} in {text!r}")
-        return
+def _lower(node: ast.expr, text: str):
+    """The evaluator of node, a map from the variable's jet to the node's jet.
+
+    Refuses, with an ExpressionError, any node outside the grammar; the
+    checks run in tree order, and a power's exponent cap before its operands.
+    """
+    if isinstance(node, ast.Constant) and not _is_number(node.value):
+        raise ExpressionError(f"unsupported literal {node.value!r} in {text!r}")
+    if isinstance(node, ast.Name) and node.id == "x":
+        return lambda var: var
+    if isinstance(node, ast.Name) and node.id not in _CONSTANTS:
+        raise ExpressionError(f"unknown symbol {node.id!r} in {text!r}")
+    if isinstance(node, (ast.Constant, ast.Name)):
+        const = Jet([float(node.value) if isinstance(node, ast.Constant) else _CONSTANTS[node.id]])
+        return lambda var: const
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        _check(node.operand, text)
-        return
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult,
-                                                            ast.Div, ast.Pow)):
-        if isinstance(node.op, ast.Pow):
-            exponent = _literal_number(node.right)
-            if (exponent is not None and float(exponent).is_integer()
-                    and abs(exponent) > _MAX_INT_POWER):
-                raise ExpressionError(
-                    f"integer exponent {int(exponent)} exceeds the cap of {_MAX_INT_POWER}")
-        _check(node.left, text)
-        _check(node.right, text)
-        return
+        inner = _lower(node.operand, text)
+        return (lambda var: -inner(var)) if isinstance(node.op, ast.USub) else inner
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        exponent = _literal_number(node.right) if isinstance(node.op, ast.Pow) else None
+        if exponent is not None and exponent.is_integer() and abs(exponent) > _MAX_INT_POWER:
+            raise ExpressionError(
+                f"integer exponent {int(exponent)} exceeds the cap of {_MAX_INT_POWER}")
+        left, right = _lower(node.left, text), _lower(node.right, text)
+        if exponent is None:
+            op = _BINARY[type(node.op)]
+            return lambda var: op(left(var), right(var))
+        if exponent.is_integer():
+            n = int(exponent)
+            return lambda var: left(var).int_power(n)
+        return lambda var: left(var).float_power(exponent)
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError(f"unknown function in {text!r}")
         if len(node.args) != 1 or node.keywords:
             raise ExpressionError(f"functions take exactly one argument in {text!r}")
-        _check(node.args[0], text)
-        return
+        f, arg = _elementary(node.func.id), _lower(node.args[0], text)
+        return lambda var: f(arg(var))
     raise ExpressionError(f"unsupported syntax ({type(node).__name__}) in {text!r}")
-
-
-def _eval_node(node: ast.expr, var: Jet) -> Jet:
-    if isinstance(node, ast.Constant):
-        return Jet([float(node.value)])
-    if isinstance(node, ast.Name):
-        return var if node.id == "x" else Jet([_CONSTANTS[node.id]])
-    if isinstance(node, ast.UnaryOp):
-        inner = _eval_node(node.operand, var)
-        return -inner if isinstance(node.op, ast.USub) else inner
-    if isinstance(node, ast.Call):
-        return _apply(node.func.id, _eval_node(node.args[0], var))
-    # BinOp is all that remains after _check.
-    left = _eval_node(node.left, var)
-    if isinstance(node.op, ast.Pow):
-        exponent = _literal_number(node.right)
-        if exponent is not None:
-            if float(exponent).is_integer():
-                return left.int_power(int(exponent))
-            return left.float_power(exponent)
-        right = _eval_node(node.right, var)
-        return _apply("exp", right * _apply("ln", left))
-    right = _eval_node(node.right, var)
-    if isinstance(node.op, ast.Add):
-        return left + right
-    if isinstance(node.op, ast.Sub):
-        return left - right
-    if isinstance(node.op, ast.Mult):
-        return left * right
-    return left / right
 
 
 def parse_generator(text: str, scale_hint: float = 1.0, label: str = "") -> GeneratorFunction:
     """Compile an expression in x into a GeneratorFunction.
 
-    Derivative k comes from walking the tree over jets of order k, so it is
-    exact (to roundoff) wherever the expression is defined.
+    Derivative k comes from evaluating the lowered tree over jets of order k,
+    so it is exact (to roundoff) wherever the expression is defined.
     """
-    tree = _compile(text)
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except SyntaxError as exc:
+        raise ExpressionError(f"could not parse expression {text!r}: {exc.msg}") from exc
+    evaluate = _lower(tree.body, text)
 
     def order(k: int):
         def field(x):
             x = np.asarray(x, dtype=float)
-            c = _eval_node(tree, Jet.variable(x, k)).c
+            c = evaluate(Jet.variable(x, k)).c
             out = c[k] if k < len(c) else 0.0
             out = out * math.factorial(k) if k > 1 else out
             return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy() \

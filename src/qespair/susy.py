@@ -139,10 +139,11 @@ def check_sign_condition(W: Superpotential) -> SignConditionCheck:
     """Probe W at 5, 10 and 20 scale hints on both sides of the origin.
 
     Passes when every right probe is positive and every left probe negative.
+    All six probes are one W.w call.
     """
     radii = 5.0 * W.scale_hint * np.array([1.0, 2.0, 4.0])
-    right = tuple(float(W.w(r)) for r in radii)
-    left = tuple(float(W.w(-r)) for r in radii)
+    samples = [float(v) for v in W.w(np.concatenate([radii, -radii]))]
+    right, left = tuple(samples[:3]), tuple(samples[3:])
     ok = all(v > 0 for v in right) and all(v < 0 for v in left)
     return SignConditionCheck(ok, right, left)
 

@@ -39,6 +39,7 @@ __all__ = [
 
 
 VERIFY_LEVELS = 4  # lowest levels of V_minus that verify_model solves for
+AUTO_GRID_CAP = 50  # auto_grid's widest box, in scale hints
 
 # Shifted inverse iteration in eigensolve (see _certified_levels).
 COARSEN = 8               # the shifts are the levels on every COARSEN-th grid point
@@ -96,13 +97,14 @@ class Tolerances:
         return self.energy * max(1.0, epsilon)
 
 
-def auto_grid(model: QesModel, target_decay: float = 1e-12, n_points: int = 4001) -> Grid:
+def auto_grid(model: QesModel, target_decay: float = Tolerances.boundary_decay,
+              n_points: int = Grid.N) -> Grid:
     """Smallest symmetric box whose walls both known states have decayed at.
 
     L is scanned outward in steps of the model's scale hint until both
     |psi0| and |psi1| at +-L drop below target_decay times their own peak,
-    capped at 50 scale hints (logged as a WARNING on qespair.verify when the
-    cap bites).  Each step samples both states at [L, -L] in one
+    capped at AUTO_GRID_CAP scale hints (logged as a WARNING on qespair.verify
+    when the cap bites).  Each step samples both states at [L, -L] in one
     model.states call.
     """
     s = model.scale_hint
@@ -110,16 +112,15 @@ def auto_grid(model: QesModel, target_decay: float = 1e-12, n_points: int = 4001
     peaks = [float(np.max(np.abs(p))) for p in model.states(span)]
 
     steps = max(1, math.ceil((abs(model.x0) + s) / s))
-    cap = 50
-    while steps <= cap:
+    while steps <= AUTO_GRID_CAP:
         L = steps * s
         edges = [max(np.abs(p).tolist()) for p in model.states(np.array([L, -L]))]
         if all(e <= target_decay * peak for e, peak in zip(edges, peaks)):
             return Grid(L, n_points)
         steps += 1
     _log.warning("decay target %s not reached inside L = %d scale hints; using the capped box",
-                 target_decay, cap)
-    return Grid(cap * s, n_points)
+                 target_decay, AUTO_GRID_CAP)
+    return Grid(AUTO_GRID_CAP * s, n_points)
 
 
 def _sample_finite(fn: Callable, grid: Grid, *names: str):
@@ -423,6 +424,10 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
             diagnostics.append(
                 f"{name} boundary amplitude ratio {ratio:.3e} exceeds the decay target; "
                 f"the box may be truncating the state")
+    if grid.L == AUTO_GRID_CAP * model.scale_hint:
+        diagnostics.append(f"box L = {grid.L:g} is auto_grid's cap of {AUTO_GRID_CAP} scale "
+                           f"hints of {model.scale_hint:g}, where it stops whether or not the "
+                           f"states have decayed")
 
     checks = {
         "energy_levels": check_energy,

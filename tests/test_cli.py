@@ -465,6 +465,23 @@ class TestWarnings:
         assert json.loads(out)["grid"]["L"] == 50.0
         assert err.splitlines() == [CAP_NOTICE]
 
+    def test_capped_box_is_named_in_the_report(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        code, _, _ = run(["verify", "--family", "custom", "--expr", "0.01*x",
+                          "--out", str(path)], capsys)
+        assert code in (0, 1)
+        report = json.loads(path.read_text())
+        assert report["grid"]["L"] == 50.0
+        assert [d for d in report["diagnostics"] if "cap" in d] == [
+            "box L = 50 is auto_grid's cap of 50 scale hints of 1, where it stops whether or "
+            "not the states have decayed"]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_default_families_do_not_reach_the_cap(self, family, capsys):
+        code, out, _ = run(["verify", "--family", family], capsys)
+        assert code == 0
+        assert not [d for d in json.loads(out)["diagnostics"] if "cap" in d]
+
     def test_repeated_calls_neither_stack_handlers_nor_share_dedup_state(self, capsys):
         handlers = list(logging.getLogger("qespair").handlers)
         first = run(self.ARGS, capsys)[2]

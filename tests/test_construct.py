@@ -16,7 +16,7 @@ from qespair.errors import (GeneratorAdmissibilityError, ParameterError,
 from qespair.expressions import parse_generator
 from qespair.families import FAMILIES
 from qespair.functions import make_analytic
-from qespair.susy import riccati_residual
+from qespair.susy import check_sign_condition, riccati_residual
 from qespair.verify import Grid, auto_grid, verify_model
 
 
@@ -75,6 +75,19 @@ def test_each_generator_order_is_evaluated_once_per_sample(route):
     calls.clear()
     riccati_residual(model.W, model.W1, model.epsilon, xs)
     assert calls and max(calls.values()) == 2, ("riccati_residual", dict(calls))
+
+
+@pytest.mark.parametrize("route", ["wplus", "phi"])
+def test_sign_probes_evaluate_each_generator_order_once(route):
+    gen, calls = counted(cubic_wplus() if route == "wplus" else cubic_phi())
+    model = build_from_wplus(gen) if route == "wplus" else build_from_phi(gen, 1.0)
+    for sp in (model.W, model.W1):
+        calls.clear()
+        chk = check_sign_condition(sp)
+        assert calls and max(calls.values()) == 1, dict(calls)
+        radii = 5.0 * sp.scale_hint * np.array([1.0, 2.0, 4.0])
+        assert chk.right_samples == tuple(sp.w(float(r)) for r in radii)
+        assert chk.left_samples == tuple(sp.w(float(-r)) for r in radii)
 
 
 STATE_MODELS = {

@@ -76,6 +76,9 @@ def test_expression_exponent_uses_exp_ln():
     g = parse_generator("x^x")
     assert g.eval(2.0) == pytest.approx(4.0, rel=1e-13)
     assert g.deriv1(2.0) == pytest.approx(4.0 * (math.log(2.0) + 1.0), rel=1e-12)
+    # the base is evaluated before the exponent, so the base's domain error surfaces
+    with pytest.raises(ExpressionError, match="fractional power of a non-positive base"):
+        parse_generator("((x - 5)^0.5)^ln(x - 7)").eval(4.0)
 
 
 def test_negative_integer_power():
@@ -115,6 +118,16 @@ def test_scalar_in_scalar_out():
     ("'abc'", "unsupported literal"),
     ("x + True", "unsupported literal"),
     ("x^False", "unsupported literal"),
+    ("x % 2", r"unsupported syntax \(BinOp\)"),
+    ("x // 2", r"unsupported syntax \(BinOp\)"),
+    ("~x", r"unsupported syntax \(UnaryOp\)"),
+    ("x < 1", r"unsupported syntax \(Compare\)"),
+    ("x if x else 1", r"unsupported syntax \(IfExp\)"),
+    ("x[0]", r"unsupported syntax \(Subscript\)"),
+    ("sin.real", r"unsupported syntax \(Attribute\)"),
+    ("(lambda: x)()", "unknown function"),
+    ("y^65", "exceeds the cap"),  # the cap is checked before the operands
+    ("ln(y)", "unknown symbol"),
 ])
 def test_rejected_expressions(bad, fragment):
     with pytest.raises(ExpressionError, match=fragment):

@@ -44,7 +44,8 @@ def test_corpus_lists_every_command_once():
     assert len(RECORDS) == len(corpus.COMMANDS)
 
 
-@pytest.mark.parametrize("argv", corpus.COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("argv", corpus.COMMANDS,
+                         ids=lambda argv: "_".join(a.replace(" ", "") for a in argv))
 def test_output_matches_the_corpus(argv):
     recorded = RECORDS[json.dumps(argv)]
     moved = {field: (change, path)
