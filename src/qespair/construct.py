@@ -115,8 +115,8 @@ def find_single_zero(f: GeneratorFunction) -> float:
 
     Scans the 401-point grid to certify there is exactly one crossing, then
     polishes the bracket by Newton steps on f and f' that keep a sign bracket
-    (see _polish_zero).  Zero samples landing exactly on the grid count as
-    crossings when the surrounding signs differ, and are returned as they are.
+    (see _polish_zero).  Every exactly-zero sample counts as a crossing, even
+    a double zero such as x*(x - 2)^2's at 2, and a lone one is returned as is.
     """
     name = f.label or "W+"
     radius = PROBE_HALF_WIDTH * f.scale_hint

@@ -167,12 +167,12 @@ def _is_number(value) -> bool:
 
 
 def _literal_number(node):
-    """Float value of a Constant or negated Constant node, else None."""
+    """Float value of a Constant node under any unary signs, else None."""
     if isinstance(node, ast.Constant) and _is_number(node.value):
         return float(node.value)
-    if (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         inner = _literal_number(node.operand)
-        return None if inner is None else -inner
+        return inner if inner is None or isinstance(node.op, ast.UAdd) else -inner
     return None
 
 

@@ -97,6 +97,7 @@ class Tolerances:
         return self.energy * max(1.0, epsilon)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def auto_grid(model: QesModel, target_decay: float = Tolerances.boundary_decay,
               n_points: int = Grid.N) -> Grid:
     """Smallest symmetric box whose walls both known states have decayed at.
@@ -145,15 +146,6 @@ def _tridiagonal(pot: np.ndarray, h: float):
     return 1.0 / h2 + pot, np.full(pot.size - 1, -0.5 / h2)
 
 
-def _lapack_levels(diag: np.ndarray, off: np.ndarray, k: int, vectors: bool):
-    """Lowest k eigenpairs of the tridiagonal matrix by LAPACK: bisection
-    (stebz), plus inverse iteration (stein) when vectors are asked for."""
-    if not vectors:
-        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                select_range=(0, k - 1)), None
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-
-
 def _uncertified(reason: str, n: int, k: int) -> None:
     _log.debug("eigensolve certificate failed (%s) at N=%d, k=%d; using bisection",
                reason, n, k)
@@ -164,19 +156,19 @@ def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
     """Lowest k eigenpairs by shifted inverse iteration, or None when they
     cannot be certified.
 
-    The shifts are the lowest k levels of the same box sampled on every
-    COARSEN-th point.  Per shift, T - sigma I is factored once and
-    INVERSE_SOLVES normalized solves run from a fixed seeded start; while the
-    residual r = ||T x - lam x|| of the Rayleigh quotient lam exceeds
-    RESIDUAL_GATE sqrt(N) eps ||T||_1, sigma moves to lam and the matrix is factored again (at most
-    MAX_REFACTORS times).  Each interval lam +- (r + ROUNDOFF_SLACK eps ||T||_1)
-    holds an eigenvalue; when the intervals are disjoint and one Sturm count
-    finds exactly k eigenvalues up to the top of the highest, they hold the k
-    lowest, one each.
+    The shifts are the lowest k levels of the box on every COARSEN-th
+    point, values only, from _levels.  Per shift, T - sigma I is factored
+    once and INVERSE_SOLVES normalized solves run from a fixed seeded start;
+    while the residual r = ||T x - lam x|| of the Rayleigh quotient lam
+    exceeds RESIDUAL_GATE sqrt(N) eps ||T||_1, sigma moves to lam and the
+    matrix is factored again (at most MAX_REFACTORS times).  Each interval
+    lam +- (r + ROUNDOFF_SLACK eps ||T||_1) holds an eigenvalue; when the
+    intervals are disjoint and one Sturm count finds exactly k eigenvalues
+    up to the top of the highest, they hold the k lowest, one each.
     """
     n = pot.size
     try:
-        shifts, _ = _lapack_levels(*_tridiagonal(pot[::COARSEN], COARSEN * h), k, False)
+        shifts, _ = _levels(pot[::COARSEN], COARSEN * h, k, False)
     except np.linalg.LinAlgError:
         return _uncertified("coarse solve", n, k)
     diag, sub = _tridiagonal(pot, h)
@@ -242,19 +234,33 @@ def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
     return lam, states
 
 
+def _levels(pot: np.ndarray, h: float, k: int, vectors: bool):
+    """Lowest k eigenpairs of the stencil on pot, as eigensolve returns them:
+    certified on an eligible grid, else (or when the certificate fails) by
+    LAPACK's bisection (stebz) plus inverse iteration (stein)."""
+    n = pot.size
+    if (n - 1) % COARSEN == 0 and (n - 1) // COARSEN + 1 >= max(MIN_COARSE_POINTS, 4 * k + 1):
+        certified = _certified_levels(pot, h, k, vectors)
+        if certified is not None:
+            return certified
+    levels = eigh_tridiagonal(*_tridiagonal(pot, h), eigvals_only=not vectors, select="i",
+                              select_range=(0, k - 1))
+    return levels if vectors else (levels, None)
+
+
 def eigensolve(v: Callable, grid: Grid, k: int, vectors: bool = True):
     """Lowest k eigenpairs of the boxed Hamiltonian -(1/2) d2/dx2 + v.
 
     Returns (energies ascending, eigenvectors as columns, l2-normalized).
-    When (N - 1) is a multiple of COARSEN and the coarse grid has at least
-    max(MIN_COARSE_POINTS, 4k + 1) points, the levels of the box sampled on
-    every COARSEN-th point seed shifted inverse iteration on the full grid;
-    a residual bound per level, disjoint error intervals and one Sturm count
-    certify that the result is the k lowest eigenpairs, each energy within
-    its residual plus roundoff.  Otherwise, or when the certificate fails
+    On an eligible grid ((N - 1) a multiple of COARSEN, at least
+    max(MIN_COARSE_POINTS, 4k + 1) coarse points) shifted inverse iteration
+    refines the levels of the box on every COARSEN-th point, which the same
+    rule solves; a residual bound per level, disjoint error intervals and
+    one Sturm count certify the k lowest eigenpairs, each energy within its
+    residual plus roundoff.  Otherwise, or when the certificate fails
     (logged at DEBUG on qespair.verify), LAPACK's bisection plus inverse
-    iteration solves the full grid.  Either way the result is accurate to
-    the roundoff of the discrete operator; what remains is the O(h^2)
+    iteration solves the grid.  Either way the result is accurate to the
+    roundoff of the discrete operator; what remains is the O(h^2)
     discretization error of the stencil itself.  With vectors=False only
     the energies come back, as (energies, None), with the same bits.
     """
@@ -263,13 +269,8 @@ def eigensolve(v: Callable, grid: Grid, k: int, vectors: bool = True):
     if k > grid.N // 4:
         raise ValueError("k is too large for this grid")
     pot = _sample_finite(v, grid, "potential")
-    coarse_points = (grid.N - 1) // COARSEN + 1
     try:
-        if (grid.N - 1) % COARSEN == 0 and coarse_points >= max(MIN_COARSE_POINTS, 4 * k + 1):
-            certified = _certified_levels(pot, grid.h, k, vectors)
-            if certified is not None:
-                return certified
-        return _lapack_levels(*_tridiagonal(pot, grid.h), k, vectors)
+        return _levels(pot, grid.h, k, vectors)
     except np.linalg.LinAlgError as exc:
         raise QueryRangeError(f"the eigensolver did not converge on the grid "
                               f"[-{grid.L!r}, {grid.L!r}] with {grid.N} points ({exc})") from exc
@@ -424,7 +425,7 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
             diagnostics.append(
                 f"{name} boundary amplitude ratio {ratio:.3e} exceeds the decay target; "
                 f"the box may be truncating the state")
-    if grid.L == AUTO_GRID_CAP * model.scale_hint:
+    if grid.L == AUTO_GRID_CAP * model.scale_hint and max(boundary.values()) > tol.boundary_decay:
         diagnostics.append(f"box L = {grid.L:g} is auto_grid's cap of {AUTO_GRID_CAP} scale "
                            f"hints of {model.scale_hint:g}, where it stops whether or not the "
                            f"states have decayed")

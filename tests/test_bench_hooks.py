@@ -46,3 +46,14 @@ def test_traced_verify_and_crosscheck_count_work(tracer):
     assert tracer.counts["expressions.jet_calls"] > 0
     assert tracer.counts["expressions.jet_points"] > 0
 
+
+def test_traced_grid_ladder_counts_each_public_eigensolve_once(tracer):
+    # the library calls of the grid-refine workload: two solves in verify_model, one 9-level
+    from qespair import families, verify
+
+    model = families.poly_phi_ces_model(1.0, 1.0)
+    grid = verify.Grid(verify.auto_grid(model).L, 16001)
+    assert verify.verify_model(model, grid).passed
+    levels, _ = verify.eigensolve(model.potentials.v_minus, grid, 9)
+    assert len(levels) == 9
+    assert tracer.counts["verify.eigensolve_points"] == 3 * 16001

@@ -181,6 +181,14 @@ class TestValidation:
         assert err.splitlines() == [CAP_NOTICE,
                                     "error: potential is not finite on the grid [-50.0, 50.0]"]
 
+    def test_overflowing_state_leaks_no_runtime_warning(self, capsys):
+        # psi1 overflows on auto_grid's peak scan before the potential is refused
+        code, out, err = run(["verify", "--family", "custom", "--expr", "x*(x - 2.01)^2"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith("error:")
+        assert not [line for line in err.splitlines() if "RuntimeWarning" in line]
+
     def test_inadmissible_expression(self, capsys):
         code, _, err = run(["build", "--family", "custom", "--expr", "sin(x)"], capsys)
         assert code == 2
@@ -481,6 +489,13 @@ class TestWarnings:
         code, out, _ = run(["verify", "--family", family], capsys)
         assert code == 0
         assert not [d for d in json.loads(out)["diagnostics"] if "cap" in d]
+
+    def test_chosen_box_at_the_cap_width_is_not_named_as_the_cap(self, capsys):
+        code, out, _ = run(["verify", "--family", "sinh-wplus", "--grid-l", "50"], capsys)
+        report = json.loads(out)
+        assert code in (0, 1) and report["grid"]["L"] == 50.0
+        assert set(report["boundary_amplitudes"].values()) == {0.0}
+        assert not [d for d in report["diagnostics"] if "cap" in d]
 
     def test_repeated_calls_neither_stack_handlers_nor_share_dedup_state(self, capsys):
         handlers = list(logging.getLogger("qespair").handlers)

@@ -92,6 +92,10 @@ def test_caret_and_double_star_are_equivalent():
     b = parse_generator("x**3 + 1")
     xs = np.linspace(-2, 2, 7)
     assert np.array_equal(a.eval(xs), b.eval(xs))
+    # a unary plus keeps a literal exponent literal: x^+2 is x^2, not exp(2 ln x)
+    plus, bare = parse_generator("x^+2"), parse_generator("x^2")
+    for order in ("eval", "deriv1", "deriv2", "deriv3"):
+        assert np.array_equal(getattr(plus, order)(xs), getattr(bare, order)(xs))
 
 
 def test_scale_hint_and_label_pass_through():
@@ -127,6 +131,7 @@ def test_scalar_in_scalar_out():
     ("sin.real", r"unsupported syntax \(Attribute\)"),
     ("(lambda: x)()", "unknown function"),
     ("y^65", "exceeds the cap"),  # the cap is checked before the operands
+    ("x^+65", "exceeds the cap"),
     ("ln(y)", "unknown symbol"),
 ])
 def test_rejected_expressions(bad, fragment):

@@ -12,6 +12,7 @@ from numpy.polynomial import hermite
 from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal
 
+from qespair import verify
 from qespair.construct import build_from_wplus
 from qespair.expressions import parse_generator
 from qespair.families import FAMILIES, PolyWplusParams, poly_wplus_model
@@ -118,7 +119,7 @@ def _oracle_cases():
 
 
 class TestCertifiedInverseIteration:
-    @pytest.mark.parametrize("n", [4001, 32001])
+    @pytest.mark.parametrize("n", [4001, 16001, 32001])
     @pytest.mark.parametrize("v, L", _oracle_cases())
     def test_agrees_with_lapack_bisection(self, v, L, n, caplog):
         grid = Grid(L, n)
@@ -132,6 +133,19 @@ class TestCertifiedInverseIteration:
         assert np.allclose(np.linalg.norm(vectors, axis=0), 1.0, rtol=0, atol=1e-14)
         assert np.min(np.abs(np.sum(vectors * ref_vectors, axis=0))) >= 1.0 - 1e-12
         assert np.array_equal(alone, energies)
+
+    @pytest.mark.parametrize("n", [4001, 32001])
+    def test_lapack_bisects_only_the_innermost_grid(self, n, monkeypatch):
+        # 32001 points take their shifts from 4001, certified in turn from 501
+        sizes = []
+
+        def recording(diag, *args, **kwargs):
+            sizes.append(diag.size)
+            return eigh_tridiagonal(diag, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "eigh_tridiagonal", recording)
+        eigensolve(harmonic, Grid(10.0, n), 4)
+        assert sizes == [501]
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_missed_bound_state_falls_back_to_lapack(self, k, caplog):
