@@ -25,7 +25,7 @@ from .susy import (Eigenstate, PotentialPair, SignConditionCheck, Superpotential
                    apply_raising, check_sign_condition, ground_state_minus,
                    make_superpotential, pair_potentials, riccati_residual)
 from .verify import (Grid, SpectralReport, Tolerances, auto_grid, count_nodes,
-                     eigensolve, inner_product, rayleigh_quotient, verify_model)
+                     eigensolve, rayleigh_quotient, verify_model)
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ __all__ = [
     "ces_exact_spectrum", "ces_excited_states", "check_sign_condition",
     "count_nodes", "cross_check_constructions", "cumulative_integral",
     "eigensolve", "epsilon_from_wplus", "find_single_zero",
-    "ground_state_minus", "inner_product", "make_analytic", "make_superpotential",
+    "ground_state_minus", "make_analytic", "make_superpotential",
     "pair_potentials", "parse_generator", "poly_phi_ces_model",
     "poly_phi_generator", "poly_phi_model", "poly_wplus_generator",
     "poly_wplus_model", "rayleigh_quotient", "riccati_residual",

@@ -31,7 +31,6 @@ __all__ = [
     "SpectralReport",
     "auto_grid",
     "eigensolve",
-    "inner_product",
     "count_nodes",
     "rayleigh_quotient",
     "verify_model",
@@ -44,11 +43,10 @@ AUTO_GRID_CAP = 50  # auto_grid's widest box, in scale hints
 # Shifted inverse iteration in eigensolve (see _certified_levels).
 COARSEN = 8               # the shifts are the levels on every COARSEN-th grid point
 MIN_COARSE_POINTS = 201   # fewest coarse points the shifts are taken from
-INVERSE_SOLVES = 3        # normalized solves per factorization of T - sigma I
+INVERSE_SOLVES = 3        # most normalized solves per factorization of T - sigma I
 MAX_REFACTORS = 3         # refactorizations at the Rayleigh quotient
 RESIDUAL_GATE = 4.0       # accept ||T x - lam x|| <= RESIDUAL_GATE sqrt(N) eps ||T||_1
 ROUNDOFF_SLACK = 4.0      # error interval lam +- (r + ROUNDOFF_SLACK eps ||T||_1)
-_START_SEED = 20260418    # the fixed start vector of every inverse iteration
 
 _log = logging.getLogger(__name__)
 
@@ -106,11 +104,15 @@ def auto_grid(model: QesModel, target_decay: float = Tolerances.boundary_decay,
     |psi0| and |psi1| at +-L drop below target_decay times their own peak,
     capped at AUTO_GRID_CAP scale hints (logged as a WARNING on qespair.verify
     when the cap bites).  Each step samples both states at [L, -L] in one
-    model.states call.
+    model.states call.  A state whose peak on the +-10 scale-hint span is
+    not finite raises QueryRangeError naming it and the span.
     """
     s = model.scale_hint
     span = np.linspace(model.x0 - 10.0 * s, model.x0 + 10.0 * s, 801)
     peaks = [float(np.max(np.abs(p))) for p in model.states(span)]
+    for name, peak in zip(("psi0", "psi1"), peaks):
+        if not math.isfinite(peak):
+            raise QueryRangeError(f"{name} is not finite on auto_grid's span [{span[0]}, {span[-1]}]")
 
     steps = max(1, math.ceil((abs(model.x0) + s) / s))
     while steps <= AUTO_GRID_CAP:
@@ -156,19 +158,20 @@ def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
     """Lowest k eigenpairs by shifted inverse iteration, or None when they
     cannot be certified.
 
-    The shifts are the lowest k levels of the box on every COARSEN-th
-    point, values only, from _levels.  Per shift, T - sigma I is factored
-    once and INVERSE_SOLVES normalized solves run from a fixed seeded start;
-    while the residual r = ||T x - lam x|| of the Rayleigh quotient lam
-    exceeds RESIDUAL_GATE sqrt(N) eps ||T||_1, sigma moves to lam and the
-    matrix is factored again (at most MAX_REFACTORS times).  Each interval
+    The shifts and start vectors are the lowest k eigenpairs of the box on
+    every COARSEN-th point (from _levels), the vectors linearly interpolated
+    onto the fine grid.  Per shift, T - sigma I is factored once and up to
+    INVERSE_SOLVES normalized solves run, stopping at the first whose
+    Rayleigh quotient lam has residual r = ||T x - lam x|| <= RESIDUAL_GATE
+    sqrt(N) eps ||T||_1; if none does, sigma moves to lam and the matrix is
+    factored again (at most MAX_REFACTORS times).  Each interval
     lam +- (r + ROUNDOFF_SLACK eps ||T||_1) holds an eigenvalue; when the
     intervals are disjoint and one Sturm count finds exactly k eigenvalues
     up to the top of the highest, they hold the k lowest, one each.
     """
     n = pot.size
     try:
-        shifts, _ = _levels(pot[::COARSEN], COARSEN * h, k, False)
+        shifts, coarse = _levels(pot[::COARSEN], COARSEN * h, k, True)
     except np.linalg.LinAlgError:
         return _uncertified("coarse solve", n, k)
     diag, sub = _tridiagonal(pot, h)
@@ -181,7 +184,8 @@ def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
         return _uncertified("residual gate", n, k)
     gate = RESIDUAL_GATE * math.sqrt(n) * ulp * norm
     slack = ROUNDOFF_SLACK * ulp * norm
-    start = np.random.default_rng(_START_SEED).random(n) - 0.5
+    fine = np.arange(n) / COARSEN
+    coarse_points = np.arange(coarse.shape[0])
 
     def apply_t(x):
         tx = diag * x
@@ -192,17 +196,17 @@ def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
     levels, radii = np.empty(k), np.empty(k)
     states = np.empty((n, k), order="F") if vectors else None
     for j, sigma in enumerate(shifts):
-        x = start
-        for _ in range(1 + MAX_REFACTORS):
-            dl, d, du, du2, ipiv, info = dgttrf(sub, diag - sigma, sub)
-            if info > 0:
-                return _uncertified("zero pivot", n, k)
-            for _ in range(INVERSE_SOLVES):
-                x, _ = dgttrs(dl, d, du, du2, ipiv, x)
-                size = float(np.linalg.norm(x))
-                if not 0.0 < size < math.inf:
-                    return _uncertified("residual gate", n, k)
-                x = x / size
+        x = np.interp(fine, coarse_points, coarse[:, j])
+        for solve in range((1 + MAX_REFACTORS) * INVERSE_SOLVES):
+            if solve % INVERSE_SOLVES == 0:  # the shift, then lam after INVERSE_SOLVES misses
+                dl, d, du, du2, ipiv, info = dgttrf(sub, diag - sigma, sub)
+                if info > 0:
+                    return _uncertified("zero pivot", n, k)
+            x, _ = dgttrs(dl, d, du, du2, ipiv, x)
+            size = float(np.linalg.norm(x))
+            if not 0.0 < size < math.inf:
+                return _uncertified("residual gate", n, k)
+            x = x / size
             tx = apply_t(x)
             sigma = float(x @ tx)
             r = float(np.linalg.norm(tx - sigma * x))
@@ -254,10 +258,11 @@ def eigensolve(v: Callable, grid: Grid, k: int, vectors: bool = True):
     Returns (energies ascending, eigenvectors as columns, l2-normalized).
     On an eligible grid ((N - 1) a multiple of COARSEN, at least
     max(MIN_COARSE_POINTS, 4k + 1) coarse points) shifted inverse iteration
-    refines the levels of the box on every COARSEN-th point, which the same
-    rule solves; a residual bound per level, disjoint error intervals and
-    one Sturm count certify the k lowest eigenpairs, each energy within its
-    residual plus roundoff.  Otherwise, or when the certificate fails
+    refines the eigenpairs of the box on every COARSEN-th point, which the
+    same rule solves, from their interpolated vectors, stopping each level
+    at the first solve that passes its residual gate; that residual bound,
+    disjoint error intervals and one Sturm count certify the k lowest
+    eigenpairs, each energy within its residual plus roundoff.  Otherwise, or when the certificate fails
     (logged at DEBUG on qespair.verify), LAPACK's bisection plus inverse
     iteration solves the grid.  Either way the result is accurate to the
     roundoff of the discrete operator; what remains is the O(h^2)
@@ -283,13 +288,6 @@ def _simpson(y: np.ndarray, h: float) -> float:
     of operations, so the two agree bit for bit.
     """
     return float(np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (h / 3.0))
-
-
-def inner_product(f: Callable, g: Callable, grid: Grid) -> float:
-    """Composite Simpson quadrature of f*g over the grid."""
-    x = grid.points()
-    y = np.asarray(f(x), dtype=float) * np.asarray(g(x), dtype=float)
-    return _simpson(y, grid.h)
 
 
 def count_nodes(values) -> int:

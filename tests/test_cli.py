@@ -182,11 +182,11 @@ class TestValidation:
                                     "error: potential is not finite on the grid [-50.0, 50.0]"]
 
     def test_overflowing_state_leaks_no_runtime_warning(self, capsys):
-        # psi1 overflows on auto_grid's peak scan before the potential is refused
+        # psi1 overflows on auto_grid's peak scan, which names it and the span
         code, out, err = run(["verify", "--family", "custom", "--expr", "x*(x - 2.01)^2"],
                              capsys)
         assert code == 2 and out == ""
-        assert err.splitlines()[-1].startswith("error:")
+        assert err.splitlines()[-1] == "error: psi1 is not finite on auto_grid's span [-10.0, 10.0]"
         assert not [line for line in err.splitlines() if "RuntimeWarning" in line]
 
     def test_inadmissible_expression(self, capsys):

@@ -11,6 +11,7 @@ tolerance that wide checks nothing.
 """
 
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -52,3 +53,11 @@ def test_output_matches_the_corpus(argv):
              for field, (change, path) in corpus.changes(recorded, corpus.run(argv)).items()
              if change > RTOL.get(field, 0.0)}
     assert not moved, moved
+
+
+def test_every_command_is_served_by_the_certified_eigensolver(caplog):
+    with caplog.at_level(logging.DEBUG, logger="qespair.verify"):
+        for argv in corpus.COMMANDS:
+            corpus.run(argv)
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("eigensolve certificate failed")] == []

@@ -8,7 +8,7 @@ import pytest
 from qespair.errors import BrokenSusyError
 from qespair.susy import (apply_raising, check_sign_condition, ground_state_minus,
                           make_superpotential, pair_potentials, riccati_residual)
-from qespair.verify import Grid, inner_product, rayleigh_quotient
+from qespair.verify import Grid, _simpson, rayleigh_quotient
 
 
 def linear_superpotential(slope=1.0):
@@ -102,10 +102,10 @@ class TestRaisingMap:
         psi_prime = lambda x: -x * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
         raised = apply_raising(W, psi, psi_prime, 1.0)
         grid = Grid(10.0, 2001)
-        overlap = inner_product(ground.psi, raised.psi, grid)
-        norm = math.sqrt(inner_product(ground.psi, ground.psi, grid)
-                         * inner_product(raised.psi, raised.psi, grid))
-        assert abs(overlap) / norm < 1e-12
+        x = grid.points()
+        g, r = ground.psi(x), raised.psi(x)
+        norm = math.sqrt(_simpson(g * g, grid.h) * _simpson(r * r, grid.h))
+        assert abs(_simpson(g * r, grid.h)) / norm < 1e-12
 
     def test_zero_energy_input_is_refused(self):
         W = linear_superpotential()

@@ -17,7 +17,7 @@ from qespair.construct import build_from_wplus
 from qespair.expressions import parse_generator
 from qespair.families import FAMILIES, PolyWplusParams, poly_wplus_model
 from qespair.verify import (Grid, Tolerances, _simpson, auto_grid, count_nodes, eigensolve,
-                            inner_product, rayleigh_quotient, verify_model)
+                            rayleigh_quotient, verify_model)
 
 
 def harmonic(x):
@@ -111,8 +111,9 @@ def _oracle_cases():
     for name, spec in FAMILIES.items():
         model = spec.build(dict(spec.defaults))
         cases.append(pytest.param(model.potentials.v_minus, auto_grid(model).L, id=name))
-    # a narrow well the coarse grid under-resolves: three solves leave E0 off
-    # by 5 eps ||T||_1 until the residual gate refactors at the Rayleigh quotient
+    # a narrow well the coarse grid under-resolves: at N = 4001, three solves
+    # from the interpolated coarse ground state leave its residual 4x over the
+    # gate, so the level is refactored once at its Rayleigh quotient
     model = FAMILIES["poly-phi"].build({"a": 0.069, "b": 1.27, "epsilon": 1.0})
     cases.append(pytest.param(model.potentials.v_minus, auto_grid(model).L, id="narrow-poly-phi"))
     return cases
@@ -146,6 +147,21 @@ class TestCertifiedInverseIteration:
         monkeypatch.setattr(verify, "eigh_tridiagonal", recording)
         eigensolve(harmonic, Grid(10.0, n), 4)
         assert sizes == [501]
+
+    @pytest.mark.parametrize("v, L", _oracle_cases())
+    def test_fine_grid_takes_one_factorization_and_one_solve_per_level(self, v, L, monkeypatch):
+        # each 32001-point level starts from its 4001-point eigenvector,
+        # interpolated, and passes the residual gate after its first solve
+        sizes = {"dgttrf": [], "dgttrs": []}
+        for name, seen in sizes.items():
+            def recording(dl, d, *args, lapack=getattr(verify, name), seen=seen):
+                seen.append(d.size)
+                return lapack(dl, d, *args)
+
+            monkeypatch.setattr(verify, name, recording)
+        eigensolve(v, Grid(L, 32001), 4)
+        assert sizes["dgttrf"].count(32001) == 4
+        assert sizes["dgttrs"].count(32001) == 4
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_missed_bound_state_falls_back_to_lapack(self, k, caplog):
@@ -199,12 +215,6 @@ class TestCountNodes:
 
 
 class TestQuadratureHelpers:
-    def test_inner_product_of_orthogonal_states(self):
-        grid = Grid(10.0, 2001)
-        psi0 = lambda x: np.exp(-0.5 * x * x)
-        psi1 = lambda x: x * np.exp(-0.5 * x * x)
-        assert abs(inner_product(psi0, psi1, grid)) < 1e-14
-
     def test_rayleigh_quotient_of_the_oscillator_ground_state(self):
         grid = Grid(10.0, 2001)
         psi = lambda x: np.exp(-0.5 * x * x)
