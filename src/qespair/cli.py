@@ -35,8 +35,8 @@ from .construct import build_from_phi, build_from_wplus, cross_check_constructio
 from .errors import ConfigError, QesError
 from .expressions import parse_generator
 from .families import FAMILIES
-from .verify import (VERIFY_LEVELS, Grid, Tolerances, _sample_finite, auto_grid, eigensolve,
-                     verify_model)
+from .functions import _sample_finite
+from .verify import VERIFY_LEVELS, Grid, Tolerances, auto_grid, eigensolve, verify_model
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -60,9 +60,6 @@ class ModelConfig:
     grid: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _number(value, key: str, kind=float):
@@ -132,15 +129,16 @@ def _resolve_config(args) -> ModelConfig:
 def _family_params(cfg: ModelConfig):
     """The registry entry for cfg.family (None for custom) and its parameters.
 
-    Registry families fill unset parameters from their defaults; custom seeds
-    take only epsilon.
+    Registry families fill unset parameters from their defaults and refuse a
+    set expr or scale_hint, which only custom seeds read; those take epsilon.
     """
     spec = FAMILIES.get(cfg.family)
     if spec is None and cfg.family != "custom":
         raise ConfigError(
             f"unknown family {cfg.family!r} (choose from {sorted(FAMILIES)} or custom)")
     allowed = list(spec.defaults) if spec is not None else ["epsilon"]
-    for key in cfg.params:
+    unset = {"expr": None, "scale_hint": 1.0} if spec is not None else {}
+    for key in [*cfg.params, *(k for k, v in unset.items() if getattr(cfg, k) != v)]:
         if key not in allowed:
             raise ConfigError(f"parameter {key!r} is not used by family {cfg.family!r} "
                               f"(expected {allowed})")
@@ -228,13 +226,17 @@ def _summary_line(cfg: ModelConfig, model) -> str:
 def _emit_table(model, grid: Grid, path: str):
     names = ["x", "v_minus", "v_plus", "w", "w1", "psi0", "psi1"]
     fns = (model.potentials.v_minus, model.potentials.v_plus, model.W.w, model.W1.w)
-    columns = ([grid.points()] + [_sample_finite(f, grid, n) for n, f in zip(names[1:], fns)]
-               + _sample_finite(model.states, grid, *names[5:]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in zip(*columns):
-            writer.writerow([_fmt(v) for v in row])
+    x = grid.points()
+    columns = ([x] + [_sample_finite(f, x, grid.where, n) for n, f in zip(names[1:], fns)]
+               + _sample_finite(model.states, x, grid.where, *names[5:]))
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(names)
+            for row in zip(*columns):
+                writer.writerow([_fmt(v) for v in row])
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _sweep_points(cfg: ModelConfig, args):
@@ -267,7 +269,7 @@ def cmd_verify(args) -> int:
         grid = _resolve_grid(sub, model)
         _require_levels(grid, VERIFY_LEVELS)
         report = verify_model(model, grid, _resolve_tolerances(sub))
-        payloads.append({"config": sub.to_dict(), **report.to_dict()})
+        payloads.append({"config": dataclasses.asdict(sub), **report.to_dict()})
     _write_json(payloads if args.sweep else payloads[0], cfg.output.get("path"))
     return 0 if all(p["passed"] for p in payloads) else 1
 
@@ -275,8 +277,11 @@ def cmd_verify(args) -> int:
 def _write_json(payload, path: Optional[str]):
     text = json.dumps(payload, indent=2)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
     else:
         print(text)
 

@@ -20,17 +20,16 @@ eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (GeneratorAdmissibilityError, InadmissibleModelError,
                      ParameterError, PhiNotMonotoneError)
-from .functions import GeneratorFunction, cumulative_integral
+from .functions import GeneratorFunction, _sample_finite, cumulative_integral
 from .susy import (Eigenstate, PotentialPair, Superpotential, _scalar_friendly,
-                   check_sign_condition, ground_state_minus, make_superpotential,
-                   pair_potentials)
+                   check_sign_condition, ground_state_minus, pair_potentials)
 
 __all__ = [
     "QesModel",
@@ -126,29 +125,18 @@ def find_single_zero(f: GeneratorFunction) -> float:
     if not np.all(np.isfinite(vals)):
         raise GeneratorAdmissibilityError(f"{name} is not finite everywhere on the scan grid")
 
-    crossings = []  # each entry: ("exact", x) or ("bracket", lo, hi)
-    last_sign = 0
-    last_idx = None
-    for i, v in enumerate(vals):
-        s = 0 if v == 0.0 else (1 if v > 0 else -1)
-        if s == 0:
-            crossings.append(("exact", float(xs[i])))
-        elif last_sign != 0 and s != last_sign:
-            crossings.append(("bracket", float(xs[last_idx]), float(xs[i])))
-        # a zero sample resets the baseline so the flanking signs do not
-        # register the same crossing twice
-        last_sign, last_idx = s, i
-
-    if len(crossings) == 0:
+    # crossing i is an exact zero at xs[i] or a sign change from xs[i] to xs[i + 1]
+    signs = np.sign(vals)
+    crossings = np.union1d(np.flatnonzero(signs == 0), np.flatnonzero(signs[:-1] * signs[1:] < 0))
+    if crossings.size == 0:
         raise GeneratorAdmissibilityError(
             f"sign condition violated: {name} has no zero crossing on [{-radius}, {radius}]")
-    if len(crossings) > 1:
-        where = [c[1] for c in crossings]
+    if crossings.size > 1:
         raise GeneratorAdmissibilityError(
-            f"{name} has multiple zeros (near {where}): not supported")
+            f"{name} has multiple zeros (near {xs[crossings].tolist()}): not supported")
 
-    c = crossings[0]
-    x0 = c[1] if c[0] == "exact" else _polish_zero(f, c[1], c[2])
+    i = crossings[0]
+    x0 = float(xs[i]) if signs[i] == 0 else _polish_zero(f, float(xs[i]), float(xs[i + 1]))
     residual = abs(float(f.eval(x0)))
     local = max(1.0, abs(float(f.deriv1(x0))) * f.scale_hint)
     if residual > 1e-12 * local:
@@ -228,9 +216,9 @@ def _superpotential(gen: GeneratorFunction, w_of, wprime_of, order: int,
         g = [f(x) for f in orders]
         return w_of(x, *g[:-1]), wprime_of(x, *g)
 
-    sp = make_superpotential(w, lambda x: w_and_wprime(x)[1], base_point=x0,
-                             scale_hint=gen.scale_hint, label=label)
-    return replace(sp, w_and_wprime=w_and_wprime)
+    return Superpotential(_scalar_friendly(w), _scalar_friendly(lambda x: w_and_wprime(x)[1]),
+                          w_and_wprime, cumulative_integral(w, x0, scale_hint=gen.scale_hint),
+                          float(gen.scale_hint), label)
 
 
 def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
@@ -413,10 +401,13 @@ def cross_check_constructions(phi: GeneratorFunction, epsilon: float) -> CrossCh
     model_a = build_from_wplus(seed)
 
     xs = model_b.probe_points()
-    v_diff = np.max(np.abs(model_a.potentials.v_minus(xs) - model_b.potentials.v_minus(xs)))
+    where = f"the probe grid [{xs[0]}, {xs[-1]}]"
+    models = (model_a, model_b)
+    v_a, v_b = (_sample_finite(m.potentials.v_minus, xs, where, "v_minus") for m in models)
+    states_a, states_b = (_sample_finite(m.states, xs, where, "psi0", "psi1") for m in models)
+    v_diff = np.max(np.abs(v_a - v_b))
 
     def normalized(vals):
-        vals = np.asarray(vals, dtype=float)
         return vals / math.sqrt(float(vals @ vals))
 
     def aligned_gap(va, vb):
@@ -425,5 +416,5 @@ def cross_check_constructions(phi: GeneratorFunction, epsilon: float) -> CrossCh
             a = -a
         return float(np.max(np.abs(a - b)))
 
-    p0, p1 = (aligned_gap(a, b) for a, b in zip(model_a.states(xs), model_b.states(xs)))
+    p0, p1 = (aligned_gap(a, b) for a, b in zip(states_a, states_b))
     return CrossCheckResult(float(v_diff), p0, p1, model_b, model_a)

@@ -85,6 +85,21 @@ def make_analytic(eval, deriv1, deriv2, deriv3, scale_hint=1.0, label=""):
     return GeneratorFunction(eval, deriv1, deriv2, deriv3, float(scale_hint), label)
 
 
+def _sample_finite(fn: Callable, points: np.ndarray, where: str, *names: str):
+    """fn on points, for every model quantity read on a point set; a
+    QueryRangeError "<name> is not finite on <where>" for the first that is not.
+    With one name fn returns one array and one array comes back; with several
+    fn returns one sample per name (as QesModel.states does) and a list does.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        samples = fn(points)
+    samples = [np.asarray(v, dtype=float) for v in (samples if len(names) > 1 else [samples])]
+    for values, name in zip(samples, names):
+        if not np.all(np.isfinite(values)):
+            raise QueryRangeError(f"{name} is not finite on {where}")
+    return samples if len(names) > 1 else samples[0]
+
+
 def _gl16(f, lo, hi):
     """16-point Gauss-Legendre integrals of f from lo[i] to hi[i], signed, and
     the integrand samples at each interval's nodes (one row per interval).

@@ -58,23 +58,25 @@ def _scalar_friendly(fn):
 class Superpotential:
     """W(x) with its derivative and an anchored primitive int W dx.
 
-    w_and_wprime, when set, samples (W, W') together on an array from shared
-    generator samples; without it the pair is taken from w and wprime.
+    w_and_wprime samples (W, W') together on an array, from shared generator
+    samples where the seed has them; pair_potentials and riccati_residual read it.
     """
 
     w: Callable
     wprime: Callable
+    w_and_wprime: Callable
     integral: CumulativeIntegral
     scale_hint: float = 1.0
     label: str = "W"
-    w_and_wprime: Optional[Callable] = None
 
 
 def make_superpotential(w, wprime, base_point=0.0, scale_hint=1.0, label="W") -> Superpotential:
-    """Assemble a Superpotential, anchoring the primitive at base_point."""
+    """Assemble a Superpotential from separate w and wprime, anchoring the
+    primitive at base_point; its joint sampler calls each of them once."""
     integral = cumulative_integral(w, base_point, scale_hint=scale_hint)
-    return Superpotential(_scalar_friendly(w), _scalar_friendly(wprime),
-                          integral, float(scale_hint), label)
+    w, wprime = _scalar_friendly(w), _scalar_friendly(wprime)
+    return Superpotential(w, wprime, lambda x: (w(x), wprime(x)), integral,
+                          float(scale_hint), label)
 
 
 @dataclass(frozen=True)
@@ -99,25 +101,18 @@ class Eigenstate:
     psi_prime: Optional[Callable] = None
 
 
-def _w_and_wprime(W: Superpotential) -> Callable:
-    """(W, W') on an array, from one joint sample when W has a joint sampler."""
-    return W.w_and_wprime or (lambda x: (W.w(x), W.wprime(x)))
-
-
 def pair_potentials(W: Superpotential) -> PotentialPair:
     """V_minus = (W^2 - W')/2 and V_plus = (W^2 + W')/2 as callables.
 
-    Each sample takes W and W' from one joint W.w_and_wprime call when the
-    superpotential has one.
+    Each sample takes W and W' from one W.w_and_wprime call.
     """
-    sample = _w_and_wprime(W)
 
     def v_minus(x):
-        w, wprime = sample(x)
+        w, wprime = W.w_and_wprime(x)
         return 0.5 * (w * w - wprime)
 
     def v_plus(x):
-        w, wprime = sample(x)
+        w, wprime = W.w_and_wprime(x)
         return 0.5 * (w * w + wprime)
 
     return PotentialPair(_scalar_friendly(v_minus), _scalar_friendly(v_plus))
@@ -199,13 +194,12 @@ def riccati_residual(W: Superpotential, W1: Superpotential, epsilon, x):
 
     Identically zero for every validly constructed pair; any nonzero value
     localizes where a claimed (W, W1, eps) triple breaks down.  Each of W and
-    W1 is sampled once, through its joint (W, W') sampler when it has one.
+    W1 is sampled once, through its joint (W, W') sampler.
     """
-    sample, sample1 = _w_and_wprime(W), _w_and_wprime(W1)
 
     def residual(x):
-        w, wprime = sample(x)
-        w1, w1prime = sample1(x)
+        w, wprime = W.w_and_wprime(x)
+        w1, w1prime = W1.w_and_wprime(x)
         return w * w + wprime - w1 * w1 + w1prime - 2.0 * epsilon
 
     return _scalar_friendly(residual)(x)

@@ -23,6 +23,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .construct import QesModel
 from .errors import QueryRangeError
+from .functions import _sample_finite
 from .susy import riccati_residual
 
 __all__ = [
@@ -71,6 +72,10 @@ class Grid:
     def h(self) -> float:
         return 2.0 * self.L / (self.N - 1)
 
+    @property
+    def where(self) -> str:  # the grid as messages about its samples name it
+        return f"the grid [-{self.L!r}, {self.L!r}]"
+
     def points(self) -> np.ndarray:
         return np.linspace(-self.L, self.L, self.N)
 
@@ -104,15 +109,14 @@ def auto_grid(model: QesModel, target_decay: float = Tolerances.boundary_decay,
     |psi0| and |psi1| at +-L drop below target_decay times their own peak,
     capped at AUTO_GRID_CAP scale hints (logged as a WARNING on qespair.verify
     when the cap bites).  Each step samples both states at [L, -L] in one
-    model.states call.  A state whose peak on the +-10 scale-hint span is
-    not finite raises QueryRangeError naming it and the span.
+    model.states call.  The peaks come from the checked sampler on the +-10
+    scale-hint span, which names a state that is not finite there and the
+    span; an edge sample that is not finite means only that it has not decayed.
     """
     s = model.scale_hint
     span = np.linspace(model.x0 - 10.0 * s, model.x0 + 10.0 * s, 801)
-    peaks = [float(np.max(np.abs(p))) for p in model.states(span)]
-    for name, peak in zip(("psi0", "psi1"), peaks):
-        if not math.isfinite(peak):
-            raise QueryRangeError(f"{name} is not finite on auto_grid's span [{span[0]}, {span[-1]}]")
+    peaks = [float(np.max(np.abs(p))) for p in _sample_finite(
+        model.states, span, f"auto_grid's span [{span[0]}, {span[-1]}]", "psi0", "psi1")]
 
     steps = max(1, math.ceil((abs(model.x0) + s) / s))
     while steps <= AUTO_GRID_CAP:
@@ -124,22 +128,6 @@ def auto_grid(model: QesModel, target_decay: float = Tolerances.boundary_decay,
     _log.warning("decay target %s not reached inside L = %d scale hints; using the capped box",
                  target_decay, AUTO_GRID_CAP)
     return Grid(AUTO_GRID_CAP * s, n_points)
-
-
-def _sample_finite(fn: Callable, grid: Grid, *names: str):
-    """fn on the grid points; QueryRangeError naming the first sample that is
-    not finite.
-
-    With one name fn returns one array and one array comes back; with several
-    fn returns one sample per name (as QesModel.states does) and a list does.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        samples = fn(grid.points())
-    samples = [np.asarray(v, dtype=float) for v in (samples if len(names) > 1 else [samples])]
-    for values, name in zip(samples, names):
-        if not np.all(np.isfinite(values)):
-            raise QueryRangeError(f"{name} is not finite on the grid [-{grid.L!r}, {grid.L!r}]")
-    return samples if len(names) > 1 else samples[0]
 
 
 def _tridiagonal(pot: np.ndarray, h: float):
@@ -273,12 +261,12 @@ def eigensolve(v: Callable, grid: Grid, k: int, vectors: bool = True):
         raise ValueError("k must be >= 1")
     if k > grid.N // 4:
         raise ValueError("k is too large for this grid")
-    pot = _sample_finite(v, grid, "potential")
+    pot = _sample_finite(v, grid.points(), grid.where, "potential")
     try:
         return _levels(pot, grid.h, k, vectors)
     except np.linalg.LinAlgError as exc:
-        raise QueryRangeError(f"the eigensolver did not converge on the grid "
-                              f"[-{grid.L!r}, {grid.L!r}] with {grid.N} points ({exc})") from exc
+        raise QueryRangeError(f"the eigensolver did not converge on {grid.where} "
+                              f"with {grid.N} points ({exc})") from exc
 
 
 def _simpson(y: np.ndarray, h: float) -> float:
@@ -314,10 +302,9 @@ def rayleigh_quotient(psi: Callable, psi_prime: Callable, v: Callable, grid: Gri
     Using the analytic derivative keeps the estimate at quadrature accuracy
     instead of stencil accuracy; boundary terms vanish for decayed states.
     """
-    x = grid.points()
-    p = np.asarray(psi(x), dtype=float)
-    dp = np.asarray(psi_prime(x), dtype=float)
-    num = _simpson(0.5 * dp * dp + np.asarray(v(x), dtype=float) * p * p, grid.h)
+    p, dp, vx = _sample_finite(lambda x: (psi(x), psi_prime(x), v(x)), grid.points(),
+                               grid.where, "psi", "psi_prime", "potential")
+    num = _simpson(0.5 * dp * dp + vx * p * p, grid.h)
     return num / _simpson(p * p, grid.h)
 
 
@@ -356,7 +343,9 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     (iii) the analytic states are orthogonal; (iv) their node counts are 0
     and 1; (v) the partner spectra interlace exactly one step apart;
     (vi) the level-linking identity holds on the probe grid; (vii) the
-    analytic states satisfy the differential equation pointwise.
+    analytic states satisfy the differential equation pointwise.  Each model
+    quantity read on a point set comes from the checked sampler, which names
+    one that is not finite and the point set in a QueryRangeError.
     """
     tol = tolerances or Tolerances()
     if grid is None:
@@ -372,7 +361,10 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     energy_errors = [abs(float(e_minus[0])), abs(float(e_minus[1]) - eps)]
     check_energy = all(err < tol_e for err in energy_errors)
 
-    psi0_s, psi1_s = (np.asarray(p, dtype=float) for p in model.states(x))
+    # over 2^(its peak's exponent), exact: no product below overflows, no ratio moves a bit
+    on_grid = _sample_finite(model.states, x, grid.where, "psi0", "psi1")
+    exps = [math.frexp(float(np.max(np.abs(p))))[1] for p in on_grid]
+    psi0_s, psi1_s = (np.ldexp(p, -e) for p, e in zip(on_grid, exps))
 
     def cosine_gap(samples, vec):
         num = abs(float(samples @ vec))
@@ -395,28 +387,30 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     check_degeneracy = all(d < tol_e for d in degeneracy)
 
     probe = model.probe_points()
-    riccati_sup = float(np.max(np.abs(riccati_residual(model.W, model.W1, eps, probe))))
+    riccati = _sample_finite(lambda p: riccati_residual(model.W, model.W1, eps, p), probe,
+                             f"the probe grid [{probe[0]}, {probe[-1]}]", "riccati_residual")
+    riccati_sup = float(np.max(np.abs(riccati)))
     check_riccati = riccati_sup < tol.riccati
 
     res_x = np.linspace(model.x0 - 6.0 * model.scale_hint,
                         model.x0 + 6.0 * model.scale_hint, 200)
     fd_step = 3e-4 * model.scale_hint
-    stencil = model.states(np.concatenate([res_x, res_x + fd_step, res_x - fd_step]))
-    v_res = np.asarray(model.potentials.v_minus(res_x), dtype=float)
+    window = f"the residual window [{res_x[0]}, {res_x[-1]}]"
+    shifted = np.concatenate([res_x, res_x + fd_step, res_x - fd_step])
+    stencil = _sample_finite(model.states, shifted, window, "psi0", "psi1")
+    v_res = _sample_finite(model.potentials.v_minus, res_x, window, "v_minus")
     residual_sups = []  # sup |-(1/2) psi'' + (V - E) psi| / sup |psi|, central stencil
     for state, samples in zip((model.psi0, model.psi1), stencil):
-        p, right, left = np.split(np.asarray(samples, dtype=float), 3)
+        p, right, left = np.split(samples, 3)
         lap = (right - 2.0 * p + left) / (fd_step * fd_step)
         r = -0.5 * lap + (v_res - state.energy) * p
         residual_sups.append(float(np.max(np.abs(r))) / float(np.max(np.abs(p))))
     check_residual = all(r < tol.residual_scale * max(1.0, eps) for r in residual_sups)
 
-    norms = [1.0 / math.sqrt(n0), 1.0 / math.sqrt(n1)]
+    norms = [math.ldexp(1.0 / math.sqrt(n), -e) for n, e in zip((n0, n1), exps)]
 
-    boundary = {
-        "psi0": max(abs(psi0_s[0]), abs(psi0_s[-1])) / float(np.max(np.abs(psi0_s))),
-        "psi1": max(abs(psi1_s[0]), abs(psi1_s[-1])) / float(np.max(np.abs(psi1_s))),
-    }
+    boundary = {name: max(abs(p[0]), abs(p[-1])) / float(np.max(np.abs(p)))
+                for name, p in (("psi0", psi0_s), ("psi1", psi1_s))}
     diagnostics = []
     for name, ratio in boundary.items():
         if ratio > tol.boundary_decay:

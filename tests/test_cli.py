@@ -116,6 +116,22 @@ class TestValidation:
         assert code == 2
         assert "not used by family" in err
 
+    @pytest.mark.parametrize("args,key", [
+        (["--expr", "x"], "'expr'"),
+        (["--scale-hint", "3"], "'scale_hint'"),
+        (["--config", {"expr": "x"}], "'expr'"),
+        (["--config", {"scale_hint": 0.5}], "'scale_hint'"),
+    ], ids=["expr-flag", "scale-hint-flag", "expr-key", "scale-hint-key"])
+    def test_custom_only_setting_is_refused_for_a_built_in_family(self, args, key, tmp_path,
+                                                                   capsys):
+        if args[0] == "--config":
+            cfg = tmp_path / "model.json"
+            cfg.write_text(json.dumps(args[1]))
+            args = ["--config", str(cfg)]
+        code, out, err = run(["build", "--family", "poly-wplus"] + args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and key in err and "poly-wplus" in err
+
     def test_crosscheck_validates_parameters(self, capsys):
         code, _, err = run(["crosscheck", "--family", "poly-phi", "--A", "1"], capsys)
         assert code == 2
@@ -188,6 +204,36 @@ class TestValidation:
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == "error: psi1 is not finite on auto_grid's span [-10.0, 10.0]"
         assert not [line for line in err.splitlines() if "RuntimeWarning" in line]
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_state_overflowing_the_box_is_refused_by_every_command(self, command, tmp_path,
+                                                                   capsys):
+        args = [command, "--family", "custom", "--expr", "x-0.001*x^3", "--grid-l", "60"]
+        table = tmp_path / "t.csv"
+        code, out, err = run(args + (["--emit", str(table)] if command == "build" else []),
+                             capsys)
+        assert code == 2 and out == "" and not table.exists()
+        assert err.splitlines()[-1] == "error: psi0 is not finite on the grid [-60.0, 60.0]"
+
+    def test_state_growing_to_the_wall_gives_a_finite_report(self, capsys):
+        # the states peak near 1e190 at the wall: finite, but their squares are not
+        code, out, _ = run(["verify", "--family", "custom", "--expr", "x-0.001*x^3",
+                            "--grid-l", "56"], capsys)
+        assert code == 1
+        report = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
+        assert report["boundary_amplitudes"] == {"psi0": 1.0, "psi1": 1.0}
+        assert all(0.0 < n < 1e-150 for n in report["normalization_constants"])
+
+    @pytest.mark.parametrize("args", [
+        ["build", "--family", "poly-wplus", "--emit", "{dir}"],
+        ["verify", "--family", "poly-wplus", "--out", "{dir}/missing/r.json"],
+    ], ids=["build-into-a-directory", "verify-into-a-missing-directory"])
+    def test_unwritable_output_path_is_a_usage_error(self, args, tmp_path, capsys):
+        path = args[-1].format(dir=tmp_path)
+        code, out, err = run(args[:-1] + [path], capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()  # one error line, with the OS's reason, no traceback
+        assert line.startswith(f"error: cannot write {path}: ")
 
     def test_inadmissible_expression(self, capsys):
         code, _, err = run(["build", "--family", "custom", "--expr", "sin(x)"], capsys)

@@ -12,7 +12,7 @@ from qespair import construct
 from qespair.construct import (build_from_phi, build_from_wplus, cross_check_constructions,
                                epsilon_from_wplus, find_single_zero)
 from qespair.errors import (GeneratorAdmissibilityError, ParameterError,
-                            PhiNotMonotoneError)
+                            PhiNotMonotoneError, QueryRangeError)
 from qespair.expressions import parse_generator
 from qespair.families import FAMILIES
 from qespair.functions import make_analytic
@@ -132,6 +132,20 @@ def test_verify_samples_the_shape_quadrature_once_per_point_set(monkeypatch):
     assert queries and len(set(queries)) == len(queries)
 
 
+def _scalar_scan(xs, vals):
+    """The crossings of the reference walk: each exact zero's x, and the left
+    end of each sign change between two nonzero neighbours, in scan order."""
+    crossings, last_sign, last_x = [], 0, None
+    for x, v in zip(xs.tolist(), np.asarray(vals).tolist()):
+        sign = 0 if v == 0.0 else (1 if v > 0 else -1)
+        if sign == 0:
+            crossings.append(x)
+        elif last_sign != 0 and sign != last_sign:
+            crossings.append(last_x)
+        last_sign, last_x = sign, x
+    return crossings
+
+
 class TestFindSingleZero:
     def test_origin_zero_even_when_sampled_exactly(self):
         # the scan grid hits x=0 head on; it must count one crossing, not two
@@ -148,6 +162,17 @@ class TestFindSingleZero:
     def test_multiple_zeros_are_reported(self):
         with pytest.raises(GeneratorAdmissibilityError, match="multiple zeros"):
             find_single_zero(parse_generator("x^3 - 3*x"))
+
+    @pytest.mark.parametrize("expr", ["x^3 - 3*x", "x*(x - 2)^2", "x*(x - 2)*(x + 2.01)",
+                                      "sin(x)", "x^2 - 4", "(x - 1)^2*(x + 1)"])
+    def test_multiple_zeros_are_listed_as_the_scalar_walk_finds_them(self, expr):
+        g = parse_generator(expr)
+        xs = construct.probe_grid(0.0, g.scale_hint)
+        crossings = _scalar_scan(xs, g.eval(xs))
+        assert len(crossings) > 1
+        with pytest.raises(GeneratorAdmissibilityError) as refused:
+            find_single_zero(g)
+        assert str(refused.value) == f"{expr} has multiple zeros (near {crossings}): not supported"
 
     def test_zero_beyond_the_scan_radius_is_refused(self):
         # the scan covers 8 scale hints on either side of the origin
@@ -317,6 +342,18 @@ class TestCrossCheck:
         assert result.psi1_sup < 1e-8
         assert result.max_discrepancy == max(result.v_minus_sup, result.psi0_sup,
                                              result.psi1_sup)
+
+    def test_quantity_not_finite_on_the_probe_grid_is_named(self, monkeypatch):
+        def wplus_route(seed):  # its V_minus turns inf beyond |x| = 6
+            model = build_from_wplus(seed)
+            v = model.potentials.v_minus
+            return dataclasses.replace(model, potentials=dataclasses.replace(
+                model.potentials, v_minus=lambda x: np.where(np.abs(x) > 6.0, np.inf, v(x))))
+
+        monkeypatch.setattr(construct, "build_from_wplus", wplus_route)
+        with pytest.raises(QueryRangeError) as refused:
+            cross_check_constructions(cubic_phi(), 1.0)
+        assert str(refused.value) == "v_minus is not finite on the probe grid [-8.0, 8.0]"
 
 
 def test_probe_grid_is_centered_on_the_node():

@@ -10,6 +10,8 @@ floating-point floor (relative changes near 1) is held to its bits, since a
 tolerance that wide checks nothing.
 """
 
+import contextlib
+import io
 import json
 import logging
 import sys
@@ -61,3 +63,16 @@ def test_every_command_is_served_by_the_certified_eigensolver(caplog):
             corpus.run(argv)
     assert [r.getMessage() for r in caplog.records
             if r.getMessage().startswith("eigensolve certificate failed")] == []
+
+
+@pytest.mark.parametrize("argv", [c for c in corpus.COMMANDS if c[0] == "verify"]
+                         + [["verify", "--family", "poly-wplus", "--sweep", "b=0.5:1.25:4"]],
+                         ids=lambda argv: "_".join(a.replace(" ", "") for a in argv))
+def test_verify_report_is_strict_json(argv):
+    from qespair.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(list(argv))
+    if out.getvalue():  # a refused command prints nothing
+        json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))

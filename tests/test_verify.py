@@ -14,6 +14,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from qespair import verify
 from qespair.construct import build_from_wplus
+from qespair.errors import QueryRangeError
 from qespair.expressions import parse_generator
 from qespair.families import FAMILIES, PolyWplusParams, poly_wplus_model
 from qespair.verify import (Grid, Tolerances, _simpson, auto_grid, count_nodes, eigensolve,
@@ -295,6 +296,36 @@ class TestVerifyModel:
         report = verify_model(detuned)
         assert not report.checks["riccati_identity"]
         assert report.riccati_sup == pytest.approx(2e-3, rel=1e-6)
+
+    @pytest.mark.parametrize("quantity,message", [
+        ("W1", "riccati_residual is not finite on the probe grid [-8.0, 8.0]"),
+        ("v_minus", "v_minus is not finite on the residual window [-6.0, 6.0]"),
+        ("psi1", "psi1 is not finite on the residual window [-6.0, 6.0]"),
+    ])
+    def test_quantity_not_finite_off_the_box_is_named_with_its_point_set(self, quantity,
+                                                                       message):
+        # each quantity turns inf beyond |x| = 4, outside the box but inside the
+        # residual window (6 scale hints) and the probe grid (8)
+        def beyond(fn):
+            def wrapped(x):
+                return np.where(np.abs(x) > 4.0, np.inf, fn(x))
+            return wrapped
+
+        model = poly_wplus_model(PolyWplusParams(2.0, 1.0))
+        if quantity == "W1":
+            joint = model.W1.w_and_wprime
+            model = dataclasses.replace(model, W1=dataclasses.replace(
+                model.W1, w_and_wprime=lambda x: (beyond(lambda t: joint(t)[0])(x),
+                                                  beyond(lambda t: joint(t)[1])(x))))
+        elif quantity == "v_minus":
+            model = dataclasses.replace(model, potentials=dataclasses.replace(
+                model.potentials, v_minus=beyond(model.potentials.v_minus)))
+        else:
+            model = dataclasses.replace(model, psi1=dataclasses.replace(
+                model.psi1, psi=beyond(model.psi1.psi)))
+        with pytest.raises(QueryRangeError) as refused:
+            verify_model(model, Grid(3.0, 401))
+        assert str(refused.value) == message
 
     def test_explicit_grid_and_tolerances_are_used(self):
         model = poly_wplus_model(PolyWplusParams(2.0, 1.0))
