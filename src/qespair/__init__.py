@@ -9,7 +9,7 @@ an independent finite-difference eigensolver.
 """
 
 from .construct import (CrossCheckResult, QesModel, build_from_phi, build_from_wplus,
-                        cross_check_constructions, epsilon_from_wplus, find_single_zero)
+                        cross_check_constructions, find_single_zero)
 from .errors import (BrokenSusyError, ConfigError, ExpressionError,
                      GeneratorAdmissibilityError, InadmissibleModelError,
                      NonFiniteIntegrandError, ParameterError, PhiNotMonotoneError, QesError,
@@ -20,7 +20,7 @@ from .families import (FAMILIES, PolyPhiParams, PolyWplusParams, SinhWplusParams
                        poly_phi_ces_model, poly_phi_generator, poly_phi_model,
                        poly_wplus_generator, poly_wplus_model,
                        sinh_wplus_generator, sinh_wplus_model)
-from .functions import CumulativeIntegral, GeneratorFunction, cumulative_integral, make_analytic
+from .functions import CumulativeIntegral, GeneratorFunction, cumulative_integral
 from .susy import (Eigenstate, PotentialPair, SignConditionCheck, Superpotential,
                    apply_raising, check_sign_condition, ground_state_minus,
                    make_superpotential, pair_potentials, riccati_residual)
@@ -40,8 +40,8 @@ __all__ = [
     "auto_grid", "build_from_phi", "build_from_wplus", "ces_epsilon",
     "ces_exact_spectrum", "ces_excited_states", "check_sign_condition",
     "count_nodes", "cross_check_constructions", "cumulative_integral",
-    "eigensolve", "epsilon_from_wplus", "find_single_zero",
-    "ground_state_minus", "make_analytic", "make_superpotential",
+    "eigensolve", "find_single_zero",
+    "ground_state_minus", "make_superpotential",
     "pair_potentials", "parse_generator", "poly_phi_ces_model",
     "poly_phi_generator", "poly_phi_model", "poly_wplus_generator",
     "poly_wplus_model", "rayleigh_quotient", "riccati_residual",

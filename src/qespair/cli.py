@@ -74,6 +74,17 @@ def _number(value, key: str, kind=float):
         raise ConfigError(f"config value {key} must be {noun} (got {value!r})") from exc
 
 
+_SECTION_KEYS = {"grid": ["L", "N"], "output": ["path"],
+                 "tolerances": [f.name for f in dataclasses.fields(Tolerances)]}
+
+
+def _require_known(section: dict, known, prefix: str = ""):
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown config key {prefix + key!r} "
+                              f"(expected one of {sorted(known)})")
+
+
 def _load_config_file(path: str) -> ModelConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -84,16 +95,14 @@ def _load_config_file(path: str) -> ModelConfig:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
-    cfg = ModelConfig()
-    known = {f.name for f in dataclasses.fields(ModelConfig)}
-    for key, value in raw.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r} (expected one of {sorted(known)})")
-        setattr(cfg, key, value)
+    _require_known(raw, [f.name for f in dataclasses.fields(ModelConfig)])
+    cfg = ModelConfig(**raw)
     for name in ("params", "grid", "tolerances", "output"):
         section = getattr(cfg, name) or {}
         if not isinstance(section, dict):
             raise ConfigError(f"config key {name!r} must be a JSON object (got {section!r})")
+        if name in _SECTION_KEYS:  # params depend on the family: _family_params checks them
+            _require_known(section, _SECTION_KEYS[name], f"{name}.")
         setattr(cfg, name, dict(section))
     return cfg
 
@@ -183,11 +192,8 @@ def _require_levels(grid: Grid, k: int):
 
 
 def _resolve_tolerances(cfg: ModelConfig) -> Tolerances:
-    known = {f.name for f in dataclasses.fields(Tolerances)}
     overrides = {}
     for key, value in cfg.tolerances.items():
-        if key not in known:
-            raise ConfigError(f"unknown tolerance {key!r} (expected one of {sorted(known)})")
         overrides[key] = _number(value, f"tolerances.{key}")
         if not (math.isfinite(overrides[key]) and overrides[key] > 0):
             raise ConfigError(f"config value tolerances.{key} must be positive and finite "
@@ -288,8 +294,6 @@ def _write_json(payload, path: Optional[str]):
 
 def cmd_spectrum(args) -> int:
     cfg = _resolve_config(args)
-    if args.sweep:
-        raise ConfigError("--sweep is supported for build and verify only")
     n_max = args.n_max
     if n_max < 0:
         raise ConfigError("n-max must be >= 0")
@@ -300,7 +304,7 @@ def cmd_spectrum(args) -> int:
     model = make_model(cfg)
     grid = _resolve_grid(cfg, model)
     _require_levels(grid, n_max + 1)
-    energies, _ = eigensolve(model.potentials.v_minus, grid, n_max + 1, vectors=False)
+    energies, _ = eigensolve(model.potentials.v_minus, grid, n_max + 1)
 
     if spec is not None and spec.exact_spectrum is not None:
         analytic = spec.exact_spectrum(params, n_max)
@@ -319,8 +323,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     cfg = _resolve_config(args)
-    if args.sweep:
-        raise ConfigError("--sweep is supported for build and verify only")
     spec, params = _family_params(cfg)
     if spec is not None and spec.phi_based:
         gen, eps = spec.phi_seed(params)
@@ -376,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grid-l", dest="grid_l", type=float, help="half-width of the box")
     run.add_argument("--tol-e", dest="tol_e", type=float, help="absolute energy tolerance")
     run.add_argument("--config", help="JSON config file; flags override it")
-    run.add_argument("--sweep", help="KEY=START:STOP:STEPS parameter sweep (build, verify)")
 
     parser = argparse.ArgumentParser(
         prog="qes",
@@ -393,6 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="run the verification battery, print JSON")
     p_verify.add_argument("--out", help="write the JSON report here instead of stdout")
     p_verify.set_defaults(func=cmd_verify)
+    for p in (p_build, p_verify):
+        p.add_argument("--sweep", help="KEY=START:STOP:STEPS parameter sweep")
 
     p_spec = sub.add_parser("spectrum", parents=[common],
                             help="tabulate numeric vs analytic levels")

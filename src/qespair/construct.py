@@ -27,16 +27,16 @@ import numpy as np
 
 from .errors import (GeneratorAdmissibilityError, InadmissibleModelError,
                      ParameterError, PhiNotMonotoneError)
-from .functions import GeneratorFunction, _sample_finite, cumulative_integral
+from .functions import GeneratorFunction, _sample_finite, _sample_states, cumulative_integral
 from .susy import (Eigenstate, PotentialPair, Superpotential, _scalar_friendly,
-                   check_sign_condition, ground_state_minus, pair_potentials)
+                   check_sign_condition, ground_state_minus, make_superpotential,
+                   pair_potentials)
 
 __all__ = [
     "QesModel",
     "CrossCheckResult",
     "probe_grid",
     "find_single_zero",
-    "epsilon_from_wplus",
     "build_from_wplus",
     "build_from_phi",
     "cross_check_constructions",
@@ -176,12 +176,8 @@ def _polish_zero(f: GeneratorFunction, a: float, b: float) -> float:
     return x
 
 
-def epsilon_from_wplus(w_plus: GeneratorFunction, x0: float) -> float:
-    """Level gap fixed by the slope at the node: eps = W_plus'(x0)/2 > 0."""
-    return _epsilon_from_slope(float(w_plus.deriv1(x0)), x0)
-
-
 def _epsilon_from_slope(slope: float, x0: float) -> float:
+    """Level gap fixed by the slope at the node: eps = W_plus'(x0)/2 > 0."""
     if not (slope > 0):
         raise GeneratorAdmissibilityError(
             f"non-transversal or wrongly oriented zero: W+'(x0)={slope} at x0={x0}")
@@ -203,7 +199,7 @@ def _superpotential(gen: GeneratorFunction, w_of, wprime_of, order: int,
     g_k is the k-th derivative of gen at x.
 
     w and the joint (w, w') sampler each evaluate every order of gen they need
-    once; w' is the second half of the joint sample.
+    once.
     """
     orders = (gen.eval, gen.deriv1, gen.deriv2, gen.deriv3)[:order + 1]
 
@@ -216,9 +212,7 @@ def _superpotential(gen: GeneratorFunction, w_of, wprime_of, order: int,
         g = [f(x) for f in orders]
         return w_of(x, *g[:-1]), wprime_of(x, *g)
 
-    return Superpotential(_scalar_friendly(w), _scalar_friendly(lambda x: w_and_wprime(x)[1]),
-                          w_and_wprime, cumulative_integral(w, x0, scale_hint=gen.scale_hint),
-                          float(gen.scale_hint), label)
+    return make_superpotential(w, w_and_wprime, x0, gen.scale_hint, label)
 
 
 def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
@@ -397,14 +391,16 @@ def cross_check_constructions(phi: GeneratorFunction, epsilon: float) -> CrossCh
         return (-wp2(x + 2 * h) + 8.0 * wp2(x + h)
                 - 8.0 * wp2(x - h) + wp2(x - 2 * h)) / (12.0 * h)
 
-    seed = GeneratorFunction(wp, wp1, wp2, wp3, s, label="2*eps*phi/phi'")
+    # a value that is not finite is for the zero scan and the samplers to name
+    quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    seed = GeneratorFunction(*map(quiet, (wp, wp1, wp2, wp3)), s, "2*eps*phi/phi'")
     model_a = build_from_wplus(seed)
 
     xs = model_b.probe_points()
     where = f"the probe grid [{xs[0]}, {xs[-1]}]"
     models = (model_a, model_b)
     v_a, v_b = (_sample_finite(m.potentials.v_minus, xs, where, "v_minus") for m in models)
-    states_a, states_b = (_sample_finite(m.states, xs, where, "psi0", "psi1") for m in models)
+    states_a, states_b = (_sample_states(m.states, xs, where) for m in models)
     v_diff = np.max(np.abs(v_a - v_b))
 
     def normalized(vals):

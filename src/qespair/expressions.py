@@ -222,11 +222,12 @@ def _lower(node: ast.expr, text: str):
     raise ExpressionError(f"unsupported syntax ({type(node).__name__}) in {text!r}")
 
 
-def parse_generator(text: str, scale_hint: float = 1.0, label: str = "") -> GeneratorFunction:
+def parse_generator(text: str, scale_hint: float = 1.0) -> GeneratorFunction:
     """Compile an expression in x into a GeneratorFunction.
 
     Derivative k comes from evaluating the lowered tree over jets of order k,
-    so it is exact (to roundoff) wherever the expression is defined.
+    so it is exact (to roundoff) wherever the expression is defined.  The
+    text itself is the generator's label.
     """
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
@@ -244,5 +245,4 @@ def parse_generator(text: str, scale_hint: float = 1.0, label: str = "") -> Gene
                 if np.ndim(out) == 0 and x.ndim > 0 else out
         return field
 
-    return GeneratorFunction(order(0), order(1), order(2), order(3),
-                             float(scale_hint), label or text)
+    return GeneratorFunction(order(0), order(1), order(2), order(3), float(scale_hint), text)

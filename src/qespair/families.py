@@ -28,7 +28,7 @@ from numpy.polynomial import polynomial as _polynomial
 
 from .construct import ClosedForms, QesModel, build_from_phi, build_from_wplus
 from .errors import ParameterError
-from .functions import GeneratorFunction, make_analytic
+from .functions import GeneratorFunction
 from .susy import Eigenstate, apply_raising
 
 __all__ = [
@@ -58,8 +58,9 @@ def _polynomial_seed(coeffs, scale_hint: float, label: str) -> GeneratorFunction
 
     numpy's general power takes a slow path for negative bases.
     """
-    return make_analytic(*(functools.partial(_polynomial.polyval, c=_polynomial.polyder(coeffs, m))
-                           for m in range(4)), scale_hint=scale_hint, label=label)
+    return GeneratorFunction(*(functools.partial(_polynomial.polyval,
+                                                 c=_polynomial.polyder(coeffs, m))
+                               for m in range(4)), float(scale_hint), label)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +317,13 @@ class SinhWplusParams:
 def sinh_wplus_generator(params: SinhWplusParams) -> GeneratorFunction:
     A, al, x0 = params.A, params.alpha, params.x0
     shift = A * math.sinh(al * x0)
-    return make_analytic(
+    return GeneratorFunction(
         lambda x: A * np.sinh(al * np.asarray(x, dtype=float)) - shift,
         lambda x: A * al * np.cosh(al * np.asarray(x, dtype=float)),
         lambda x: A * al * al * np.sinh(al * np.asarray(x, dtype=float)),
         lambda x: A * al ** 3 * np.cosh(al * np.asarray(x, dtype=float)),
-        scale_hint=params.scale_hint,
-        label=f"A*(sinh(alpha*x)-sinh(alpha*x0)) (A={params.A}, alpha={params.alpha}, x0={params.x0})",
+        float(params.scale_hint),
+        f"A*(sinh(alpha*x)-sinh(alpha*x0)) (A={params.A}, alpha={params.alpha}, x0={params.x0})",
     )
 
 
@@ -350,7 +351,6 @@ class FamilySpec:
     family whose whole ladder is known.
     """
 
-    name: str
     defaults: dict
     build: Callable[[dict], QesModel]
     phi_seed: Optional[Callable[[dict], tuple]] = None
@@ -367,17 +367,14 @@ def _phi_seed(p: dict) -> tuple:
 
 FAMILIES = {
     "poly-wplus": FamilySpec(
-        "poly-wplus", {"a": 2.0, "b": 1.0},
-        lambda p: poly_wplus_model(PolyWplusParams(**p))),
+        {"a": 2.0, "b": 1.0}, lambda p: poly_wplus_model(PolyWplusParams(**p))),
     "poly-phi": FamilySpec(
-        "poly-phi", {"a": 1.0, "b": 1.0, "epsilon": 1.0},
+        {"a": 1.0, "b": 1.0, "epsilon": 1.0},
         lambda p: poly_phi_model(PolyPhiParams(**p)), phi_seed=_phi_seed),
     "poly-phi-ces": FamilySpec(
-        "poly-phi-ces", {"a": 1.0, "b": 1.0},
-        lambda p: poly_phi_ces_model(**p),
+        {"a": 1.0, "b": 1.0}, lambda p: poly_phi_ces_model(**p),
         phi_seed=lambda p: _phi_seed(dict(p, epsilon=ces_epsilon(**p))),
         exact_spectrum=lambda p, n_max: ces_exact_spectrum(**p, n_max=n_max)),
     "sinh-wplus": FamilySpec(
-        "sinh-wplus", {"A": 1.0, "alpha": 1.0, "x0": 0.0},
-        lambda p: sinh_wplus_model(SinhWplusParams(**p))),
+        {"A": 1.0, "alpha": 1.0, "x0": 0.0}, lambda p: sinh_wplus_model(SinhWplusParams(**p))),
 }

@@ -29,7 +29,6 @@ from .errors import NonFiniteIntegrandError, ParameterError, QueryRangeError
 __all__ = [
     "GeneratorFunction",
     "CumulativeIntegral",
-    "make_analytic",
     "cumulative_integral",
 ]
 
@@ -76,14 +75,6 @@ class GeneratorFunction:
         if not (np.isfinite(self.scale_hint) and self.scale_hint > 0):
             raise ParameterError("scale_hint must be a positive finite number")
 
-    def __call__(self, x):
-        return self.eval(x)
-
-
-def make_analytic(eval, deriv1, deriv2, deriv3, scale_hint=1.0, label=""):
-    """Bundle a function and its three analytic derivatives."""
-    return GeneratorFunction(eval, deriv1, deriv2, deriv3, float(scale_hint), label)
-
 
 def _sample_finite(fn: Callable, points: np.ndarray, where: str, *names: str):
     """fn on points, for every model quantity read on a point set; a
@@ -98,6 +89,16 @@ def _sample_finite(fn: Callable, points: np.ndarray, where: str, *names: str):
         if not np.all(np.isfinite(values)):
             raise QueryRangeError(f"{name} is not finite on {where}")
     return samples if len(names) > 1 else samples[0]
+
+
+def _sample_states(states: Callable, points: np.ndarray, where: str):
+    """(psi0, psi1) = states(points) from the checked sampler; a state that is
+    zero on every point, which no norm or peak can scale, is refused too."""
+    samples = _sample_finite(states, points, where, "psi0", "psi1")
+    for values, name in zip(samples, ("psi0", "psi1")):
+        if not np.any(values):
+            raise QueryRangeError(f"{name} is zero on every point of {where}")
+    return samples
 
 
 def _gl16(f, lo, hi):

@@ -63,19 +63,19 @@ class Superpotential:
     """
 
     w: Callable
-    wprime: Callable
     w_and_wprime: Callable
     integral: CumulativeIntegral
     scale_hint: float = 1.0
     label: str = "W"
 
 
-def make_superpotential(w, wprime, base_point=0.0, scale_hint=1.0, label="W") -> Superpotential:
-    """Assemble a Superpotential from separate w and wprime, anchoring the
-    primitive at base_point; its joint sampler calls each of them once."""
-    integral = cumulative_integral(w, base_point, scale_hint=scale_hint)
-    w, wprime = _scalar_friendly(w), _scalar_friendly(wprime)
-    return Superpotential(w, wprime, lambda x: (w(x), wprime(x)), integral,
+def make_superpotential(w, w_and_wprime, base_point=0.0, scale_hint=1.0,
+                        label="W") -> Superpotential:
+    """Assemble a Superpotential from the array functions w and w_and_wprime,
+    the joint sampler x -> (W(x), W'(x)), anchoring the primitive of w at
+    base_point.  Scalar queries of w return a float."""
+    return Superpotential(_scalar_friendly(w), w_and_wprime,
+                          cumulative_integral(w, base_point, scale_hint=scale_hint),
                           float(scale_hint), label)
 
 

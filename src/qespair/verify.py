@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .construct import QesModel
 from .errors import QueryRangeError
-from .functions import _sample_finite
+from .functions import _sample_finite, _sample_states
 from .susy import riccati_residual
 
 __all__ = [
@@ -110,13 +110,14 @@ def auto_grid(model: QesModel, target_decay: float = Tolerances.boundary_decay,
     capped at AUTO_GRID_CAP scale hints (logged as a WARNING on qespair.verify
     when the cap bites).  Each step samples both states at [L, -L] in one
     model.states call.  The peaks come from the checked sampler on the +-10
-    scale-hint span, which names a state that is not finite there and the
-    span; an edge sample that is not finite means only that it has not decayed.
+    scale-hint span, which names a state that is not finite there, or zero on
+    all of it, and the span; an edge sample that is not finite means only that
+    it has not decayed.
     """
     s = model.scale_hint
     span = np.linspace(model.x0 - 10.0 * s, model.x0 + 10.0 * s, 801)
-    peaks = [float(np.max(np.abs(p))) for p in _sample_finite(
-        model.states, span, f"auto_grid's span [{span[0]}, {span[-1]}]", "psi0", "psi1")]
+    peaks = [float(np.max(np.abs(p))) for p in _sample_states(
+        model.states, span, f"auto_grid's span [{span[0]}, {span[-1]}]")]
 
     steps = max(1, math.ceil((abs(model.x0) + s) / s))
     while steps <= AUTO_GRID_CAP:
@@ -142,7 +143,8 @@ def _uncertified(reason: str, n: int, k: int) -> None:
     return None
 
 
-def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm or residual is uncertified
+def _certified_levels(pot: np.ndarray, h: float, k: int):
     """Lowest k eigenpairs by shifted inverse iteration, or None when they
     cannot be certified.
 
@@ -159,7 +161,7 @@ def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
     """
     n = pot.size
     try:
-        shifts, coarse = _levels(pot[::COARSEN], COARSEN * h, k, True)
+        shifts, coarse = _levels(pot[::COARSEN], COARSEN * h, k)
     except np.linalg.LinAlgError:
         return _uncertified("coarse solve", n, k)
     diag, sub = _tridiagonal(pot, h)
@@ -182,7 +184,7 @@ def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
         return tx
 
     levels, radii = np.empty(k), np.empty(k)
-    states = np.empty((n, k), order="F") if vectors else None
+    states = np.empty((n, k), order="F")
     for j, sigma in enumerate(shifts):
         x = np.interp(fine, coarse_points, coarse[:, j])
         for solve in range((1 + MAX_REFACTORS) * INVERSE_SOLVES):
@@ -202,9 +204,7 @@ def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
                 break
         else:
             return _uncertified("residual gate", n, k)
-        levels[j], radii[j] = sigma, r + slack
-        if vectors:
-            states[:, j] = x
+        levels[j], radii[j], states[:, j] = sigma, r + slack, x
 
     order = np.argsort(levels)
     lam, rho = levels[order], radii[order]
@@ -219,43 +219,39 @@ def _certified_levels(pot: np.ndarray, h: float, k: int, vectors: bool):
     count, *_, info = dstebz(diag, sub, 1, lower, upper, 0, 0, 2.0 * (upper - lower), "E")
     if info != 0 or count != k:
         return _uncertified("Sturm count", n, k)
-    if not vectors:
-        return lam, None
     if np.any(order != np.arange(k)):  # copies only when refinement reordered the levels
         states[:] = states[:, order]
     return lam, states
 
 
-def _levels(pot: np.ndarray, h: float, k: int, vectors: bool):
+def _levels(pot: np.ndarray, h: float, k: int):
     """Lowest k eigenpairs of the stencil on pot, as eigensolve returns them:
     certified on an eligible grid, else (or when the certificate fails) by
     LAPACK's bisection (stebz) plus inverse iteration (stein)."""
     n = pot.size
     if (n - 1) % COARSEN == 0 and (n - 1) // COARSEN + 1 >= max(MIN_COARSE_POINTS, 4 * k + 1):
-        certified = _certified_levels(pot, h, k, vectors)
+        certified = _certified_levels(pot, h, k)
         if certified is not None:
             return certified
-    levels = eigh_tridiagonal(*_tridiagonal(pot, h), eigvals_only=not vectors, select="i",
-                              select_range=(0, k - 1))
-    return levels if vectors else (levels, None)
+    return eigh_tridiagonal(*_tridiagonal(pot, h), select="i", select_range=(0, k - 1))
 
 
-def eigensolve(v: Callable, grid: Grid, k: int, vectors: bool = True):
+def eigensolve(v: Callable, grid: Grid, k: int):
     """Lowest k eigenpairs of the boxed Hamiltonian -(1/2) d2/dx2 + v.
 
-    Returns (energies ascending, eigenvectors as columns, l2-normalized).
+    Always returns both: (energies ascending, eigenvectors as columns,
+    l2-normalized); a caller that needs only the energies drops the second.
     On an eligible grid ((N - 1) a multiple of COARSEN, at least
     max(MIN_COARSE_POINTS, 4k + 1) coarse points) shifted inverse iteration
     refines the eigenpairs of the box on every COARSEN-th point, which the
     same rule solves, from their interpolated vectors, stopping each level
     at the first solve that passes its residual gate; that residual bound,
     disjoint error intervals and one Sturm count certify the k lowest
-    eigenpairs, each energy within its residual plus roundoff.  Otherwise, or when the certificate fails
-    (logged at DEBUG on qespair.verify), LAPACK's bisection plus inverse
-    iteration solves the grid.  Either way the result is accurate to the
-    roundoff of the discrete operator; what remains is the O(h^2)
-    discretization error of the stencil itself.  With vectors=False only
-    the energies come back, as (energies, None), with the same bits.
+    eigenpairs, each energy within its residual plus roundoff.  Otherwise,
+    or when the certificate fails (logged at DEBUG on qespair.verify),
+    LAPACK's bisection plus inverse iteration solves the grid.  Either way
+    the result is accurate to the roundoff of the discrete operator; what
+    remains is the O(h^2) discretization error of the stencil itself.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -263,7 +259,7 @@ def eigensolve(v: Callable, grid: Grid, k: int, vectors: bool = True):
         raise ValueError("k is too large for this grid")
     pot = _sample_finite(v, grid.points(), grid.where, "potential")
     try:
-        return _levels(pot, grid.h, k, vectors)
+        return _levels(pot, grid.h, k)
     except np.linalg.LinAlgError as exc:
         raise QueryRangeError(f"the eigensolver did not converge on {grid.where} "
                               f"with {grid.N} points ({exc})") from exc
@@ -345,7 +341,8 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     (vi) the level-linking identity holds on the probe grid; (vii) the
     analytic states satisfy the differential equation pointwise.  Each model
     quantity read on a point set comes from the checked sampler, which names
-    one that is not finite and the point set in a QueryRangeError.
+    one that is not finite (or a state that is zero on every point) and the
+    point set in a QueryRangeError.
     """
     tol = tolerances or Tolerances()
     if grid is None:
@@ -356,13 +353,13 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     tol_e = tol.energy_effective(eps)
 
     e_minus, vec_minus = eigensolve(model.potentials.v_minus, grid, VERIFY_LEVELS)
-    e_plus, _ = eigensolve(model.potentials.v_plus, grid, 3, vectors=False)
+    e_plus, _ = eigensolve(model.potentials.v_plus, grid, 3)
 
     energy_errors = [abs(float(e_minus[0])), abs(float(e_minus[1]) - eps)]
     check_energy = all(err < tol_e for err in energy_errors)
 
     # over 2^(its peak's exponent), exact: no product below overflows, no ratio moves a bit
-    on_grid = _sample_finite(model.states, x, grid.where, "psi0", "psi1")
+    on_grid = _sample_states(model.states, x, grid.where)
     exps = [math.frexp(float(np.max(np.abs(p))))[1] for p in on_grid]
     psi0_s, psi1_s = (np.ldexp(p, -e) for p, e in zip(on_grid, exps))
 
@@ -397,7 +394,7 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     fd_step = 3e-4 * model.scale_hint
     window = f"the residual window [{res_x[0]}, {res_x[-1]}]"
     shifted = np.concatenate([res_x, res_x + fd_step, res_x - fd_step])
-    stencil = _sample_finite(model.states, shifted, window, "psi0", "psi1")
+    stencil = _sample_states(model.states, shifted, window)
     v_res = _sample_finite(model.potentials.v_minus, res_x, window, "v_minus")
     residual_sups = []  # sup |-(1/2) psi'' + (V - E) psi| / sup |psi|, central stencil
     for state, samples in zip((model.psi0, model.psi1), stencil):

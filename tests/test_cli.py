@@ -205,6 +205,27 @@ class TestValidation:
         assert err.splitlines()[-1] == "error: psi1 is not finite on auto_grid's span [-10.0, 10.0]"
         assert not [line for line in err.splitlines() if "RuntimeWarning" in line]
 
+    @pytest.mark.parametrize("args,where", [
+        (["verify", "--expr", "1e150*x"], "auto_grid's span [-10.0, 10.0]"),
+        (["verify", "--expr", "x*1e100"], "auto_grid's span [-10.0, 10.0]"),
+        (["verify", "--expr", "1e150*x", "--grid-l", "10"], "the grid [-10.0, 10.0]"),
+        (["verify", "--expr", "x", "--epsilon", "1e10"], "auto_grid's span [-10.0, 10.0]"),
+        (["crosscheck", "--expr", "x", "--epsilon", "1e10"], "the probe grid [-8.0, 8.0]"),
+    ], ids=["steep-seed", "steep-seed-right-factor", "steep-seed-on-the-grid", "wide-gap",
+            "wide-gap-crosscheck"])
+    def test_state_zero_on_every_point_is_refused(self, args, where, capsys):
+        # psi1 is narrower than one sample step, so no norm or peak can scale it
+        code, out, err = run([args[0], "--family", "custom", *args[1:]], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: psi1 is zero on every point of {where}"]
+
+    def test_underflowing_phi_slope_prints_only_its_error(self, capsys):
+        # phi'^3 underflows to 0 in the W+ seed's second derivative
+        code, out, err = run(["crosscheck", "--family", "custom", "--expr", "x*1e-150",
+                              "--epsilon", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: v_minus is not finite on the probe grid [-8.0, 8.0]"]
+
     @pytest.mark.parametrize("command", ["build", "verify"])
     def test_state_overflowing_the_box_is_refused_by_every_command(self, command, tmp_path,
                                                                    capsys):
@@ -335,6 +356,18 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config key" in err
 
+    @pytest.mark.parametrize("config,key", [
+        ({"grid": {"n": 8001}}, "'grid.n'"),
+        ({"output": {"pth": "r.json"}}, "'output.pth'"),
+        ({"tolerances": {"energies": 1e-3}}, "'tolerances.energies'"),
+    ], ids=["grid", "output", "tolerances"])
+    def test_unknown_section_key_is_refused(self, config, key, tmp_path, capsys):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(["verify", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: unknown config key {key} (expected one of [")
+
     def test_unreadable_config(self, capsys):
         code, _, err = run(["build", "--config", "/nonexistent/path.json"], capsys)
         assert code == 2
@@ -414,7 +447,7 @@ class TestSpectrum:
         code, _, err = run(["spectrum", "--family", "poly-wplus",
                             "--sweep", "b=1:2:2"], capsys)
         assert code == 2
-        assert "build and verify only" in err
+        assert "unrecognized arguments: --sweep" in err
 
 
 class TestCrosscheck:

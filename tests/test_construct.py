@@ -10,19 +10,19 @@ from scipy.optimize import brentq
 
 from qespair import construct
 from qespair.construct import (build_from_phi, build_from_wplus, cross_check_constructions,
-                               epsilon_from_wplus, find_single_zero)
+                               find_single_zero)
 from qespair.errors import (GeneratorAdmissibilityError, ParameterError,
                             PhiNotMonotoneError, QueryRangeError)
 from qespair.expressions import parse_generator
 from qespair.families import FAMILIES
-from qespair.functions import make_analytic
+from qespair.functions import GeneratorFunction
 from qespair.susy import check_sign_condition, riccati_residual
 from qespair.verify import Grid, auto_grid, verify_model
 
 
 def cubic_phi():
     # phi = x + x^3/3, strictly increasing with a single zero at the origin
-    return make_analytic(
+    return GeneratorFunction(
         lambda x: np.asarray(x, dtype=float) + np.asarray(x, dtype=float) ** 3 / 3.0,
         lambda x: 1.0 + np.asarray(x, dtype=float) ** 2,
         lambda x: 2.0 * np.asarray(x, dtype=float),
@@ -32,7 +32,7 @@ def cubic_phi():
 
 def cubic_wplus():
     # W+ = 2x + x^3, a single transversal zero at the origin
-    return make_analytic(
+    return GeneratorFunction(
         lambda x: 2.0 * np.asarray(x, dtype=float) + np.asarray(x, dtype=float) ** 3,
         lambda x: 2.0 + 3.0 * np.asarray(x, dtype=float) ** 2,
         lambda x: 6.0 * np.asarray(x, dtype=float),
@@ -65,7 +65,7 @@ def test_each_generator_order_is_evaluated_once_per_sample(route):
         gen, calls = counted(cubic_phi())
         model = build_from_phi(gen, 1.0)
     xs = np.linspace(-2.0, 2.0, 9)
-    for name in ("W.w", "W1.w", "W.wprime", "W1.wprime",
+    for name in ("W.w", "W1.w", "W.w_and_wprime", "W1.w_and_wprime",
                  "potentials.v_minus", "potentials.v_plus"):
         sp, attr = name.split(".")
         calls.clear()
@@ -207,13 +207,11 @@ class TestFindSingleZero:
 
 class TestEpsilonFromSlope:
     def test_half_the_slope_at_the_node(self):
-        g = parse_generator("2*x + x^3")
-        assert epsilon_from_wplus(g, 0.0) == 1.0
+        assert build_from_wplus(parse_generator("2*x + x^3")).epsilon == 1.0
 
     def test_wrong_orientation_is_rejected(self):
-        g = parse_generator("-x")
         with pytest.raises(GeneratorAdmissibilityError, match="wrongly oriented"):
-            epsilon_from_wplus(g, 0.0)
+            build_from_wplus(parse_generator("-x"))
 
 
 class TestBuildFromWplus:
@@ -240,7 +238,7 @@ class TestBuildFromWplus:
         delta = 1e-3 * model.scale_hint
         inside = float(model.W.w(model.x0 + 0.99 * delta))
         outside = float(model.W.w(model.x0 + 1.01 * delta))
-        slope = abs(float(model.W.wprime(model.x0)))
+        slope = abs(float(model.W.w_and_wprime(model.x0)[1]))
         assert abs(outside - inside) < 0.05 * max(slope, 1.0) * delta
 
     def test_provenance_records_the_route(self):

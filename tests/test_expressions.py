@@ -99,9 +99,9 @@ def test_caret_and_double_star_are_equivalent():
 
 
 def test_scale_hint_and_label_pass_through():
-    g = parse_generator("x", scale_hint=2.5, label="ramp")
+    g = parse_generator("x", scale_hint=2.5)
     assert g.scale_hint == 2.5
-    assert g.label == "ramp"
+    assert g.label == "x"
 
 
 def test_scalar_in_scalar_out():

@@ -15,8 +15,7 @@ from qespair.construct import build_from_wplus
 from qespair.errors import NonFiniteIntegrandError, QueryRangeError
 from qespair.expressions import parse_generator
 from qespair.families import PolyPhiParams, poly_phi_model
-from qespair.functions import (CumulativeIntegral, GeneratorFunction, cumulative_integral,
-                               make_analytic)
+from qespair.functions import CumulativeIntegral, GeneratorFunction, cumulative_integral
 
 
 def lorentzian(t):
@@ -25,7 +24,7 @@ def lorentzian(t):
 
 
 def gaussian_bundle(scale=1.0):
-    return make_analytic(
+    return GeneratorFunction(
         lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2),
         lambda x: -x * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2),
         lambda x: (x * x - 1.0) * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2),
@@ -34,10 +33,6 @@ def gaussian_bundle(scale=1.0):
 
 
 class TestGeneratorFunction:
-    def test_call_is_eval(self):
-        g = gaussian_bundle()
-        assert g(0.0) == g.eval(0.0) == 1.0
-
     def test_scale_hint_must_be_positive(self):
         with pytest.raises(ValueError, match="scale_hint"):
             GeneratorFunction(np.sin, np.cos, lambda x: -np.sin(x),
