@@ -22,9 +22,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -175,6 +177,8 @@ def _resolve_grid(cfg: ModelConfig, model) -> Grid:
     n = _number(cfg.grid.get("N", Grid.N), "grid.N", int)
     if n < 3 or n % 2 == 0:
         raise ConfigError(f"grid N (--grid-n) must be an odd integer >= 3 (got {n})")
+    if 8 * n > np.iinfo(np.intp).max:  # numpy refuses an array whose bytes overflow intp
+        raise ConfigError(f"grid N (--grid-n) = {n} is more points than numpy can address")
     if "L" not in cfg.grid:
         return auto_grid(model, _resolve_tolerances(cfg).boundary_decay, n)
     L = _number(cfg.grid["L"], "grid.L")
@@ -358,7 +362,9 @@ class _WarningPrinter(logging.Handler):
             print(f"warning: {message}", file=sys.stderr)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qes parser, built once per process; each parse_args gives a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     model = common.add_argument_group("model")
     model.add_argument("--family", choices=sorted(FAMILIES) + ["custom"],
@@ -406,6 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cross = sub.add_parser("crosscheck", parents=[common],
                              help="compare the two construction routes")
     p_cross.set_defaults(func=cmd_crosscheck)
+    for p in (p_build, p_verify, p_spec, p_cross):  # argparse took "-1e-05" for a flag
+        p._negative_number_matcher = re.compile(r"-\.?\d")  # no flag starts "-<digit>"
     return parser
 
 

@@ -152,11 +152,13 @@ def _primitives(nodes, half):
     """Legendre coefficients, one column per row of nodes, of the primitive of
     each row's 16-node interpolant over an interval of half-width half[i].
 
-    Each coefficient is a row-by-row reduction, like _gl16's sums.
+    One broadcast product per block of _MAX_INTERVALS rows forms all 17, each
+    still its own row's reduction of 16 products, like _gl16's sums.
     """
     coef = np.empty((len(_PRIMITIVE), half.size))
-    for order, weights in enumerate(_PRIMITIVE):
-        coef[order] = half * (nodes * weights).sum(axis=1)
+    for start in range(0, half.size, _MAX_INTERVALS):
+        rows = slice(start, start + _MAX_INTERVALS)
+        coef[:, rows] = (half[rows, None] * (nodes[rows, None, :] * _PRIMITIVE).sum(axis=2)).T
     return coef
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BrokenSusyError
-from .functions import CumulativeIntegral, cumulative_integral
+from .functions import CumulativeIntegral, _sample_finite, cumulative_integral
 
 __all__ = [
     "Superpotential",
@@ -134,10 +134,11 @@ def check_sign_condition(W: Superpotential) -> SignConditionCheck:
     """Probe W at 5, 10 and 20 scale hints on both sides of the origin.
 
     Passes when every right probe is positive and every left probe negative.
-    All six probes are one W.w call.
+    All six probes are one W.w call, through the checked sampler.
     """
     radii = 5.0 * W.scale_hint * np.array([1.0, 2.0, 4.0])
-    samples = [float(v) for v in W.w(np.concatenate([radii, -radii]))]
+    where = f"the sign-condition probes [{-radii[-1]}, {radii[-1]}]"
+    samples = _sample_finite(W.w, np.concatenate([radii, -radii]), where, W.label).tolist()
     right, left = tuple(samples[:3]), tuple(samples[3:])
     ok = all(v > 0 for v in right) and all(v < 0 for v in left)
     return SignConditionCheck(ok, right, left)

@@ -108,24 +108,27 @@ def auto_grid(model: QesModel, target_decay: float = Tolerances.boundary_decay,
     L is scanned outward in steps of the model's scale hint until both
     |psi0| and |psi1| at +-L drop below target_decay times their own peak,
     capped at AUTO_GRID_CAP scale hints (logged as a WARNING on qespair.verify
-    when the cap bites).  Each step samples both states at [L, -L] in one
-    model.states call.  The peaks come from the checked sampler on the +-10
+    when the cap bites).  The peaks come from the checked sampler on the +-10
     scale-hint span, which names a state that is not finite there, or zero on
-    all of it, and the span; an edge sample that is not finite means only that
-    it has not decayed.
+    all of it, and the span.  One model.states call samples [L, -L] for every
+    step inside that already filled span, and one call per step beyond it, so
+    no fill reaches past the box returned; an edge sample that is not finite
+    means only that it has not decayed.
     """
     s = model.scale_hint
     span = np.linspace(model.x0 - 10.0 * s, model.x0 + 10.0 * s, 801)
     peaks = [float(np.max(np.abs(p))) for p in _sample_states(
         model.states, span, f"auto_grid's span [{span[0]}, {span[-1]}]")]
 
-    steps = max(1, math.ceil((abs(model.x0) + s) / s))
-    while steps <= AUTO_GRID_CAP:
-        L = steps * s
-        edges = [max(np.abs(p).tolist()) for p in model.states(np.array([L, -L]))]
-        if all(e <= target_decay * peak for e, peak in zip(edges, peaks)):
-            return Grid(L, n_points)
-        steps += 1
+    boxes = [n * s for n in range(max(1, math.ceil((abs(model.x0) + s) / s)), AUTO_GRID_CAP + 1)]
+    inside = [L for L in boxes if span[0] <= -L and L <= span[-1]]  # a prefix of boxes
+    for batch in filter(None, [inside] + [[L] for L in boxes[len(inside):]]):
+        pairs = [np.abs(p).reshape(-1, 2) for p in model.states(np.outer(batch, [1, -1]).ravel())]
+        # rows (|psi(L)|, |psi(-L)|), each row's max() as the builtin takes it (NaN only at +L)
+        decayed = np.logical_and.reduce([np.where(a[:, 1] > a[:, 0], a[:, 1], a[:, 0])
+                                         <= target_decay * peak for a, peak in zip(pairs, peaks)])
+        if decayed.any():
+            return Grid(batch[int(np.argmax(decayed))], n_points)
     _log.warning("decay target %s not reached inside L = %d scale hints; using the capped box",
                  target_decay, AUTO_GRID_CAP)
     return Grid(AUTO_GRID_CAP * s, n_points)

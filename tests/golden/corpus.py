@@ -62,14 +62,15 @@ COMMANDS = (
        ["spectrum", "--family", "poly-wplus"]]
     # exit 2: refused syntax, the exponent cap checked before the operands,
     # an unknown symbol inside a call, a W1 that fails the sign probes, a
-    # psi1 that is zero on every point, and a W+ seed whose phi'^3 underflows
-    # (the error line alone, no RuntimeWarning)
+    # psi1 that is zero on every point, a W+ seed whose phi'^3 underflows and
+    # a W that overflows on the sign probes (the error line alone, no RuntimeWarning)
     + [["verify", "--family", "custom", "--expr", "x % 2"],
        ["verify", "--family", "custom", "--expr", "y^65"],
        ["crosscheck", "--family", "custom", "--expr", "ln(y)", "--epsilon", "2"],
        ["verify", "--family", "custom", "--expr", "0.1*tanh(x)"],
        ["verify", "--family", "custom", "--expr", "1e150*x"],
-       ["crosscheck", "--family", "custom", "--expr", "x*1e-150", "--epsilon", "1"]]
+       ["crosscheck", "--family", "custom", "--expr", "x*1e-150", "--epsilon", "1"],
+       ["verify", "--family", "sinh-wplus", "--A", "1e300"]]
 )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qespair
-from qespair.cli import main
+from qespair.cli import build_parser, main
 from qespair.families import FAMILIES, PolyWplusParams, poly_wplus_model
 from qespair.verify import Tolerances, auto_grid, verify_model
 
@@ -143,7 +143,9 @@ class TestValidation:
         (["verify", "--family", "poly-wplus", "--grid-n", "13"], "--grid-n"),
         (["spectrum", "--family", "poly-wplus", "--n-max", "8", "--grid-n", "31"],
          "--grid-n"),
-    ], ids=["even-n", "negative-l", "n-too-small-for-verify", "n-too-small-for-spectrum"])
+        (["verify", "--grid-n", "99999999999999999999"], "--grid-n"),
+    ], ids=["even-n", "negative-l", "n-too-small-for-verify", "n-too-small-for-spectrum",
+            "n-numpy-cannot-address"])
     def test_bad_grid_is_a_usage_error(self, args, setting, capsys):
         code, _, err = run(args, capsys)
         assert code == 2
@@ -225,6 +227,17 @@ class TestValidation:
                               "--epsilon", "1"], capsys)
         assert code == 2 and out == ""
         assert err.splitlines() == ["error: v_minus is not finite on the probe grid [-8.0, 8.0]"]
+
+    @pytest.mark.parametrize("args,probes", [
+        (["verify", "--family", "sinh-wplus", "--A", "1e300"], "[-20.0, 20.0]"),
+        (["crosscheck", "--family", "poly-phi", "--b", "1e300"],
+         "[-34.64101615137754, 34.64101615137754]"),
+    ], ids=["overflowing-sinh-amplitude", "overflowing-phi-curvature"])
+    def test_superpotential_not_finite_on_the_sign_probes_is_one_error_line(self, args, probes,
+                                                                            capsys):
+        code, out, err = run(args, capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: W is not finite on the sign-condition probes {probes}"]
 
     @pytest.mark.parametrize("command", ["build", "verify"])
     def test_state_overflowing_the_box_is_refused_by_every_command(self, command, tmp_path,
@@ -589,3 +602,23 @@ def test_installed_console_script():
     proc = subprocess.run(["qes", *ENTRY_ARGS], capture_output=True, text=True,
                           timeout=120)
     assert_summary_run(proc)
+
+
+class TestParser:
+    def test_main_calls_share_one_parser(self):
+        assert build_parser() is build_parser()
+
+    def test_a_flag_does_not_carry_over_to_the_next_call(self, tmp_path, capsys):
+        run(["spectrum", "--n-max", "2"], capsys)
+        code, out, _ = run(["spectrum"], capsys)
+        assert code == 0 and len(out.splitlines()) == 1 + 5  # header, levels 0..4
+        path = tmp_path / "r.json"
+        run(["verify", "--out", str(path)], capsys)
+        code, out, _ = run(["verify"], capsys)
+        assert code == 0 and json.loads(out)["passed"] and path.exists()
+
+    @pytest.mark.parametrize("x0", ["-7.255050515242445e-06", "-1E-5", "-.5"])
+    def test_negative_number_in_any_float_form_is_a_value(self, x0, capsys):
+        code, out, err = run(["build", "--family", "sinh-wplus", "--x0", x0], capsys)
+        assert (code, err) == (0, "")
+        assert f" x0={float(x0):.17g} " in out

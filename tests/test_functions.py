@@ -106,6 +106,15 @@ class TestCumulativeIntegral:
         F(1.2345)
         assert rows == []
 
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 700])
+    def test_primitive_coefficients_match_a_per_row_reduction_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows)
+        nodes = rng.standard_normal((rows, 16)) * 10.0 ** rng.uniform(-30, 30, (rows, 16))
+        half = 10.0 ** rng.uniform(-30, 30, rows)
+        reference = np.array([[half[i] * (nodes[i] * weights).sum() for i in range(rows)]
+                              for weights in functions._PRIMITIVE])
+        assert functions._primitives(nodes, half).tobytes() == reference.tobytes()
+
     def test_far_or_non_finite_query_is_refused(self):
         F = cumulative_integral(np.cos, 0.0)
         for x in (1e20, -np.inf, np.nan):

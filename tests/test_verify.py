@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal
 
 from qespair import verify
-from qespair.construct import build_from_wplus
+from qespair.construct import build_from_phi, build_from_wplus
 from qespair.errors import QueryRangeError
 from qespair.expressions import parse_generator
-from qespair.families import FAMILIES, PolyWplusParams, poly_wplus_model
+from qespair.families import FAMILIES, PolyWplusParams, poly_phi_ces_model, poly_wplus_model
 from qespair.verify import (Grid, Tolerances, _simpson, auto_grid, count_nodes, eigensolve,
                             rayleigh_quotient, verify_model)
 
@@ -218,6 +219,58 @@ class TestQuadratureHelpers:
         assert np.float64(_simpson(y, h)).tobytes() == np.float64(simpson(y, dx=h)).tobytes()
 
 
+CAP_WARNING = "decay target 1e-12 not reached inside L = 50 scale hints; using the capped box"
+
+
+def scalar_walk(model, target_decay=Tolerances.boundary_decay):
+    """The box as auto_grid's one-call-per-step walk finds it (the reference), or
+    None where that walk reaches the cap undecayed."""
+    s = model.scale_hint
+    span = np.linspace(model.x0 - 10.0 * s, model.x0 + 10.0 * s, 801)
+    with np.errstate(all="ignore"):
+        peaks = [float(np.max(np.abs(p))) for p in model.states(span)]
+        for steps in range(max(1, math.ceil((abs(model.x0) + s) / s)), verify.AUTO_GRID_CAP + 1):
+            edges = [max(np.abs(p).tolist()) for p in model.states(np.array([steps * s, -steps * s]))]
+            if all(e <= target_decay * peak for e, peak in zip(edges, peaks)):
+                return steps * s
+    return None
+
+
+def _auto_grid_cases(draws=8):
+    """Model builders: every family at `draws` parameter draws over the benchmark's
+    ranges, and parsed seeds on both routes."""
+    rng = np.random.default_rng(2020)
+
+    def log_uniform(lo=0.05, hi=20.0):
+        return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+    params = {
+        "poly-wplus": lambda: {"a": log_uniform(), "b": log_uniform()},
+        "poly-phi": lambda: {"a": log_uniform(), "b": log_uniform(), "epsilon": log_uniform()},
+        "poly-phi-ces": lambda: {"a": log_uniform(), "b": log_uniform()},
+        "sinh-wplus": lambda: {"A": log_uniform(0.5, 20.0), "alpha": log_uniform(0.5, 2.0),
+                               "x0": float(rng.uniform(-1.0, 1.0))},
+    }
+    cases = []
+    for name, draw in params.items():
+        for i in range(draws):
+            p = draw()
+            cases.append(pytest.param(lambda name=name, p=p: FAMILIES[name].build(p),
+                                      id=f"{name}-{i}"))
+    for expr in ("2*x + x^3", "x^3 + x - 0.5", "sinh(x - 0.4)", "3*tanh(x) + x^3",
+                 "0.5*x + 0.2*x^5", "2*x + tanh(x - 0.3)"):
+        cases.append(pytest.param(lambda e=expr: build_from_wplus(parse_generator(e)),
+                                  id=f"wplus-{expr}"))
+    for expr, eps in (("x + x^3/3", 1.5), ("sinh(x)", 0.7), ("tanh(x) + 0.1*x^3", 4.0),
+                      ("x - 0.5 + x^3", 2.0), ("x + 0.3*x^3 + 0.5*tanh(2*x - 1)", 1.5)):
+        cases.append(pytest.param(lambda e=expr, eps=eps: build_from_phi(parse_generator(e), eps),
+                                  id=f"phi-{expr}-{eps}"))
+    return cases
+
+
+AUTO_GRID_CASES = _auto_grid_cases()
+
+
 class TestAutoGrid:
     def test_box_is_small_for_a_fast_decaying_model(self):
         model = poly_wplus_model(PolyWplusParams(2.0, 1.0))
@@ -234,8 +287,37 @@ class TestAutoGrid:
         with caplog.at_level(logging.WARNING, logger="qespair.verify"):
             grid = auto_grid(model)
         assert grid.L == 50.0 * model.scale_hint
-        assert [r.getMessage() for r in caplog.records] == [
-            "decay target 1e-12 not reached inside L = 50 scale hints; using the capped box"]
+        assert [r.getMessage() for r in caplog.records] == [CAP_WARNING]
+        assert scalar_walk(model) is None
+
+    @pytest.mark.parametrize("build", AUTO_GRID_CASES)
+    def test_box_is_the_one_the_scalar_walk_finds(self, build, caplog):
+        with caplog.at_level(logging.WARNING, logger="qespair.verify"):
+            grid = auto_grid(build())
+        model = build()  # a fresh copy: the walk fills nothing auto_grid filled
+        reference = scalar_walk(model)
+        assert grid == Grid(reference or verify.AUTO_GRID_CAP * model.scale_hint)
+        assert [r.getMessage() for r in caplog.records if r.name == "qespair.verify"] == (
+            [] if reference else [CAP_WARNING])
+
+    # beyond the span the walk goes on step by step; 0.05*x decays at the cap's own step
+    @pytest.mark.parametrize("expr,box", [("0.1*x", 35.0), ("0.05*x", 50.0)])
+    def test_box_beyond_the_span(self, expr, box, caplog):
+        with caplog.at_level(logging.WARNING, logger="qespair.verify"):
+            grid = auto_grid(build_from_wplus(parse_generator(expr)))
+        assert grid.L == box == scalar_walk(build_from_wplus(parse_generator(expr)))
+        assert not [r for r in caplog.records if r.name == "qespair.verify"]
+
+    def test_in_span_steps_are_one_states_call(self):
+        model = poly_phi_ces_model(1.0, 1.0)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return model.psi0.psi(x)
+
+        auto_grid(dataclasses.replace(model, psi0=dataclasses.replace(model.psi0, psi=counted)))
+        assert len(calls) == 2  # the span, then every in-span step; the walk made 9
 
 
 class TestTolerances:
