@@ -16,14 +16,13 @@ from .errors import (BrokenSusyError, ConfigError, ExpressionError,
                      QueryRangeError)
 from .expressions import parse_generator
 from .families import (FAMILIES, PolyPhiParams, PolyWplusParams, SinhWplusParams,
-                       ces_epsilon, ces_exact_spectrum, ces_excited_states,
-                       poly_phi_ces_model, poly_phi_generator, poly_phi_model,
-                       poly_wplus_generator, poly_wplus_model,
-                       sinh_wplus_generator, sinh_wplus_model)
+                       ces_epsilon, ces_exact_spectrum, poly_phi_ces_model,
+                       poly_phi_generator, poly_phi_model, poly_wplus_generator,
+                       poly_wplus_model, sinh_wplus_generator, sinh_wplus_model)
 from .functions import CumulativeIntegral, GeneratorFunction, cumulative_integral
 from .susy import (Eigenstate, PotentialPair, SignConditionCheck, Superpotential,
-                   apply_raising, check_sign_condition, ground_state_minus,
-                   make_superpotential, pair_potentials, riccati_residual)
+                   check_sign_condition, ground_state_minus, make_superpotential,
+                   pair_potentials, riccati_residual)
 from .verify import (Grid, SpectralReport, Tolerances, auto_grid, count_nodes,
                      eigensolve, rayleigh_quotient, verify_model)
 
@@ -36,9 +35,9 @@ __all__ = [
     "InadmissibleModelError", "NonFiniteIntegrandError", "ParameterError",
     "PhiNotMonotoneError", "PolyPhiParams", "PolyWplusParams", "PotentialPair",
     "QesError", "QesModel", "QueryRangeError", "SignConditionCheck", "SinhWplusParams",
-    "SpectralReport", "Superpotential", "Tolerances", "apply_raising",
+    "SpectralReport", "Superpotential", "Tolerances",
     "auto_grid", "build_from_phi", "build_from_wplus", "ces_epsilon",
-    "ces_exact_spectrum", "ces_excited_states", "check_sign_condition",
+    "ces_exact_spectrum", "check_sign_condition",
     "count_nodes", "cross_check_constructions", "cumulative_integral",
     "eigensolve", "find_single_zero",
     "ground_state_minus", "make_superpotential",

@@ -328,12 +328,12 @@ def cmd_spectrum(args) -> int:
 def cmd_crosscheck(args) -> int:
     cfg = _resolve_config(args)
     spec, params = _family_params(cfg)
-    if spec is not None and spec.phi_based:
+    if spec is not None and spec.phi_seed is not None:
         gen, eps = spec.phi_seed(params)
     elif spec is None and cfg.expr and params.get("epsilon") is not None:
         gen, eps = _custom_generator(cfg), params["epsilon"]
     else:
-        phi_families = [name for name, s in FAMILIES.items() if s.phi_based]
+        phi_families = [name for name, s in FAMILIES.items() if s.phi_seed is not None]
         raise ConfigError(f"crosscheck requires a phi-based family "
                           f"({', '.join(phi_families)}, or custom --expr with --epsilon)")
     result = cross_check_constructions(gen, eps)

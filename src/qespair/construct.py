@@ -28,9 +28,8 @@ import numpy as np
 from .errors import (GeneratorAdmissibilityError, InadmissibleModelError,
                      ParameterError, PhiNotMonotoneError)
 from .functions import GeneratorFunction, _sample_finite, _sample_states, cumulative_integral
-from .susy import (Eigenstate, PotentialPair, Superpotential, _scalar_friendly,
-                   check_sign_condition, ground_state_minus, make_superpotential,
-                   pair_potentials)
+from .susy import (Eigenstate, PotentialPair, Superpotential, check_sign_condition,
+                   ground_state_minus, make_superpotential, pair_potentials)
 
 __all__ = [
     "QesModel",
@@ -80,7 +79,6 @@ class QesModel:
     psi0: Eigenstate
     psi1: Eigenstate
     scale_hint: float
-    closed_form: Optional["ClosedForms"] = None
     phi: Optional[Callable] = None
 
     def probe_points(self) -> np.ndarray:
@@ -99,23 +97,14 @@ class QesModel:
         return psi0, self.phi(x) * psi0
 
 
-@dataclass(frozen=True)
-class ClosedForms:
-    """Optional closed-form expressions attached by a named family."""
-
-    v_minus: Optional[Callable] = None
-    v_plus: Optional[Callable] = None
-    psi0: Optional[Callable] = None
-    psi1: Optional[Callable] = None
-
-
 def find_single_zero(f: GeneratorFunction) -> float:
     """Locate the unique zero crossing of f on [-R, R], R = 8 scale hints.
 
     Scans the 401-point grid to certify there is exactly one crossing, then
     polishes the bracket by Newton steps on f and f' that keep a sign bracket
     (see _polish_zero).  Every exactly-zero sample counts as a crossing, even
-    a double zero such as x*(x - 2)^2's at 2, and a lone one is returned as is.
+    a double zero such as x*(x - 2)^2's at 2, and a lone one is returned as is;
+    an f that is zero on every scan point is refused as such.
     """
     name = f.label or "W+"
     radius = PROBE_HALF_WIDTH * f.scale_hint
@@ -124,6 +113,9 @@ def find_single_zero(f: GeneratorFunction) -> float:
         vals = np.asarray(f.eval(xs), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise GeneratorAdmissibilityError(f"{name} is not finite everywhere on the scan grid")
+    if not np.any(vals):
+        raise GeneratorAdmissibilityError(
+            f"{name} is zero on every point of the scan grid [{-radius}, {radius}]")
 
     # crossing i is an exact zero at xs[i] or a sign change from xs[i] to xs[i + 1]
     signs = np.sign(vals)
@@ -262,7 +254,7 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
         wp, d1 = w_plus.eval(x), w_plus.deriv1(x)
         return (d1 - wp * w1(x, wp, d1)) * np.exp(-integral1(x))
 
-    psi1 = Eigenstate(eps, _scalar_friendly(psi1_fn), 1, _scalar_friendly(psi1_prime))
+    psi1 = Eigenstate(eps, psi1_fn, psi1_prime)
     return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1, s)
 
 
@@ -337,8 +329,8 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
         p0 = psi0_fn(x)
         return phi.deriv1(x) * p0 + phi.eval(x) * (-w(x) * p0)
 
-    psi0 = Eigenstate(0.0, _scalar_friendly(psi0_fn), 0, _scalar_friendly(psi0_prime))
-    psi1 = Eigenstate(eps, _scalar_friendly(psi1_fn), 1, _scalar_friendly(psi1_prime))
+    psi0 = Eigenstate(0.0, psi0_fn, psi0_prime)
+    psi1 = Eigenstate(eps, psi1_fn, psi1_prime)
     return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1, s, phi=phi.eval)
 
 

@@ -1,8 +1,8 @@
 """Named model families with closed-form potentials and wavefunctions.
 
 Every family funnels through the generic constructors in
-:mod:`qespair.construct`; the closed forms attached here are independent
-expressions used by the test suite to pin the generic machinery down.
+:mod:`qespair.construct`; the test suite pins that machinery down against
+each family's hand-derived closed forms, quoted in the docstrings below.
 
 Families
 --------
@@ -16,20 +16,17 @@ sinh-wplus    W_plus = A*(sinh(alpha*x) - sinh(alpha*x0))   (A, alpha > 0)
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial import hermite as _hermite
 from numpy.polynomial import polynomial as _polynomial
 
-from .construct import ClosedForms, QesModel, build_from_phi, build_from_wplus
+from .construct import QesModel, build_from_phi, build_from_wplus
 from .errors import ParameterError
 from .functions import GeneratorFunction
-from .susy import Eigenstate, apply_raising
 
 __all__ = [
     "PolyWplusParams",
@@ -41,7 +38,6 @@ __all__ = [
     "sinh_wplus_model",
     "ces_epsilon",
     "ces_exact_spectrum",
-    "ces_excited_states",
     "FamilySpec",
     "FAMILIES",
 ]
@@ -95,29 +91,7 @@ def poly_wplus_model(params: PolyWplusParams) -> QesModel:
         psi0 ~ (a + b x^2)^(3/4) exp(-x^2 (2a + b x^2)/8)
         psi1 ~ x (a + b x^2)^(1/4) exp(-x^2 (2a + b x^2)/8)
     """
-    a, b = params.a, params.b
-    model = build_from_wplus(poly_wplus_generator(params))
-
-    def v_minus(x):
-        x = np.asarray(x, dtype=float)
-        q = a + b * x ** 2
-        return (0.125 * (a * a - 12.0 * b) * x ** 2 + 0.25 * a * b * x ** 4
-                + 0.125 * b * b * x ** 6 + 3.0 * a * b / (8.0 * q * q)
-                + 3.0 * b / (8.0 * q) - 0.25 * a)
-
-    def gaussian_part(x):
-        return np.exp(-x ** 2 * (2.0 * a + b * x ** 2) / 8.0)
-
-    def psi0(x):
-        x = np.asarray(x, dtype=float)
-        return (a + b * x ** 2) ** 0.75 * gaussian_part(x)
-
-    def psi1(x):
-        x = np.asarray(x, dtype=float)
-        return x * (a + b * x ** 2) ** 0.25 * gaussian_part(x)
-
-    closed = ClosedForms(v_minus=v_minus, psi0=psi0, psi1=psi1)
-    return dataclasses.replace(model, closed_form=closed)
+    return build_from_wplus(poly_wplus_generator(params))
 
 
 # ---------------------------------------------------------------------------
@@ -126,39 +100,12 @@ def poly_wplus_model(params: PolyWplusParams) -> QesModel:
 
 @dataclass(frozen=True)
 class PolyPhiParams:
-    """Parameters of the cubic seed, with the derived potential coefficients.
-
-    In terms of q = a + b x^2 the partner potentials are
-
-        V_minus = (coeff_x2/2) x^2 + coeff_inv_minus/q + coeff_inv2_minus/q^2
-                  + offset_minus
-        V_plus  = (coeff_x2/2) x^2 + coeff_inv2_plus/q^2 + offset_plus
-
-    (no 1/q term survives on the plus side).  Note offset_plus - offset_minus
-    = eps/3, matching V_plus - V_minus = W' at infinity.
-    """
-
     a: float
     b: float
     epsilon: float
-    coeff_x2: float = field(init=False)
-    coeff_inv_minus: float = field(init=False)
-    coeff_inv2_minus: float = field(init=False)
-    coeff_inv2_plus: float = field(init=False)
-    offset_minus: float = field(init=False)
-    offset_plus: float = field(init=False)
 
     def __post_init__(self):
         _require_positive(a=self.a, b=self.b, epsilon=self.epsilon)
-        a, b, e = self.a, self.b, self.epsilon
-        object.__setattr__(self, "coeff_x2", e * e / 9.0)
-        object.__setattr__(self, "coeff_inv_minus", b + 2.0 * a * e / 3.0)
-        object.__setattr__(self, "coeff_inv2_minus",
-                           -(27.0 * a * b * b + 24.0 * a * a * b * e + 4.0 * a ** 3 * e * e) / (18.0 * b))
-        object.__setattr__(self, "coeff_inv2_plus",
-                           (9.0 * a * b * b - 4.0 * a ** 3 * e * e) / (18.0 * b))
-        object.__setattr__(self, "offset_minus", e * (3.0 * b + 4.0 * a * e) / (18.0 * b))
-        object.__setattr__(self, "offset_plus", e * (9.0 * b + 4.0 * a * e) / (18.0 * b))
 
     @property
     def scale_hint(self) -> float:
@@ -183,34 +130,11 @@ def poly_phi_model(params: PolyPhiParams) -> QesModel:
 
         psi0 ~ (a + b x^2)^(-1/2 - a eps/3b) exp(-eps x^2/6)
         psi1 ~ (a x + b x^3/3) (a + b x^2)^(-1/2 - a eps/3b) exp(-eps x^2/6).
+
+    With q = a + b x^2, V_minus is a quadratic plus 1/q and 1/q^2 terms and a
+    constant; V_plus has no 1/q term.
     """
-    a, b, e = params.a, params.b, params.epsilon
-    model = build_from_phi(poly_phi_generator(params), e)
-    p = params
-
-    def v_minus(x):
-        x = np.asarray(x, dtype=float)
-        q = a + b * x ** 2
-        return (0.5 * p.coeff_x2 * x ** 2 + p.coeff_inv_minus / q
-                + p.coeff_inv2_minus / (q * q) + p.offset_minus)
-
-    def v_plus(x):
-        x = np.asarray(x, dtype=float)
-        q = a + b * x ** 2
-        return 0.5 * p.coeff_x2 * x ** 2 + p.coeff_inv2_plus / (q * q) + p.offset_plus
-
-    power = -0.5 - a * e / (3.0 * b)
-
-    def psi0(x):
-        x = np.asarray(x, dtype=float)
-        return (a + b * x ** 2) ** power * np.exp(-e * x ** 2 / 6.0)
-
-    def psi1(x):
-        x = np.asarray(x, dtype=float)
-        return (a * x + b * x ** 3 / 3.0) * (a + b * x ** 2) ** power * np.exp(-e * x ** 2 / 6.0)
-
-    closed = ClosedForms(v_minus=v_minus, v_plus=v_plus, psi0=psi0, psi1=psi1)
-    return dataclasses.replace(model, closed_form=closed)
+    return build_from_phi(poly_phi_generator(params), params.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +153,7 @@ def poly_phi_ces_model(a: float, b: float) -> QesModel:
         V_plus = (b^2 / 8 a^2) x^2 + 5b/4a,
 
     i.e. frequency omega = b/2a shifted by 5b/4a, so every level of V_minus
-    follows from the raising map, not just the lowest two.
+    is known (ces_exact_spectrum), not just the lowest two.
     """
     return poly_phi_model(PolyPhiParams(a, b, ces_epsilon(a, b)))
 
@@ -246,47 +170,6 @@ def ces_exact_spectrum(a: float, b: float, n_max: int) -> list:
     if n_max < 0:
         raise ParameterError(f"n_max must be >= 0 (got {n_max})")
     return [0.0] + [(b / a) * (0.5 * n + 1.0) for n in range(1, n_max + 1)]
-
-
-def _hermite_plus_state(a: float, b: float, n: int):
-    """n-th eigenstate of the CES partner oscillator, with derivative.
-
-    psi_n = H_n(sqrt(omega) x) exp(-omega x^2/2) at omega = b/2a, energy
-    omega(n + 1/2) + 5b/4a.  Unnormalized.
-    """
-    omega = 0.5 * b / a
-    root = math.sqrt(omega)
-    coeff_n = [0.0] * n + [1.0]
-    coeff_lower = ([0.0] * (n - 1) + [1.0]) if n >= 1 else None
-
-    def psi(x):
-        u = root * np.asarray(x, dtype=float)
-        return _hermite.hermval(u, coeff_n) * np.exp(-0.5 * u * u)
-
-    def psi_prime(x):
-        x = np.asarray(x, dtype=float)
-        u = root * x
-        gauss = np.exp(-0.5 * u * u)
-        poly_term = 2.0 * n * _hermite.hermval(u, coeff_lower) if n >= 1 else 0.0
-        return root * (poly_term - u * _hermite.hermval(u, coeff_n)) * gauss
-
-    energy = omega * (n + 0.5) + 1.25 * b / a
-    return psi, psi_prime, energy
-
-
-def ces_excited_states(a: float, b: float, n: int) -> Eigenstate:
-    """n-th excited state of V_minus at the CES point (n >= 1).
-
-    Raised from the (n-1)-th Hermite-Gaussian state of the partner
-    oscillator; carries n nodes and energy (b/a)(n/2 + 1).
-    """
-    _require_positive(a=a, b=b)
-    if n < 1:
-        raise ParameterError(
-            "n must be >= 1: the node-free state comes from ground_state_minus")
-    model = poly_phi_ces_model(a, b)
-    psi, psi_prime, energy = _hermite_plus_state(a, b, n - 1)
-    return apply_raising(model.W, psi, psi_prime, energy, node_count=n)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +238,6 @@ class FamilySpec:
     build: Callable[[dict], QesModel]
     phi_seed: Optional[Callable[[dict], tuple]] = None
     exact_spectrum: Optional[Callable[[dict, int], list]] = None
-
-    @property
-    def phi_based(self) -> bool:
-        return self.phi_seed is not None
 
 
 def _phi_seed(p: dict) -> tuple:

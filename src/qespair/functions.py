@@ -233,8 +233,8 @@ class _Side:
 class CumulativeIntegral:
     """Primitive of an integrand anchored at a base point.
 
-    Calling it returns the integral from ``base_point`` to ``x`` (signed); a
-    scalar query is a 0-d :meth:`eval_array` query, so it gets the same bits.
+    Calling it on an array returns the integral from ``base_point`` to each
+    point (signed), as an array of the same shape.
     The axis is tiled into panels of fixed width starting at the base point.
     Each side's panels are filled once, under a lock, by adaptive GL16; every
     leaf of the adaptive split keeps the primitive of its 16-node interpolant,
@@ -279,7 +279,7 @@ class CumulativeIntegral:
                 self._sides[side] = table
         return table
 
-    def eval_array(self, xs) -> np.ndarray:
+    def __call__(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         steps = (xs - self.base_point) / self.panel_width
         if not (np.abs(np.floor(steps)) <= _MAX_PANELS).all():
@@ -296,10 +296,6 @@ class CumulativeIntegral:
                     block = rows[start:start + _MAX_INTERVALS * _GL_NODES.size]
                     out[block] = table.at(side, flat[block])
         return out.reshape(xs.shape)
-
-    def __call__(self, x):
-        out = self.eval_array(x)
-        return float(out) if out.ndim == 0 else out
 
 
 def cumulative_integral(integrand, base_point, *, scale_hint=1.0) -> CumulativeIntegral:

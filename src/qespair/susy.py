@@ -6,17 +6,13 @@ A superpotential W generates the partner pair
 
 for Hamiltonians H = -(1/2) d^2/dx^2 + V.  When W(x) -> +1 side on the right
 and -1 side on the left (the sign condition), exp(-int W) is normalizable and
-is the zero-energy ground state of H_minus.  The raising map
+is the zero-energy ground state of H_minus.
 
-    psi -> (-psi' + W psi) / sqrt(2 E)
-
-carries eigenstates of H_plus at energy E to eigenstates of H_minus at the
-same energy, one node higher.
+Every model callable here takes an array and returns an array of its shape.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,24 +30,8 @@ __all__ = [
     "pair_potentials",
     "check_sign_condition",
     "ground_state_minus",
-    "apply_raising",
     "riccati_residual",
 ]
-
-
-def _scalar_friendly(fn):
-    """Wrap an array-based closure so scalar input returns a plain float.
-
-    A scalar goes in as a 1-element array: numpy evaluates 0-d operands with
-    scalar arithmetic (its own pow, for one), whose last bit can differ from
-    the array loops, and scalar and array queries must agree bitwise.
-    """
-
-    def wrapped(x):
-        x = np.asarray(x, dtype=float)
-        return fn(x) if x.ndim else float(fn(x.reshape(1))[0])
-
-    return wrapped
 
 
 @dataclass(frozen=True)
@@ -73,8 +53,8 @@ def make_superpotential(w, w_and_wprime, base_point=0.0, scale_hint=1.0,
                         label="W") -> Superpotential:
     """Assemble a Superpotential from the array functions w and w_and_wprime,
     the joint sampler x -> (W(x), W'(x)), anchoring the primitive of w at
-    base_point.  Scalar queries of w return a float."""
-    return Superpotential(_scalar_friendly(w), w_and_wprime,
+    base_point."""
+    return Superpotential(w, w_and_wprime,
                           cumulative_integral(w, base_point, scale_hint=scale_hint),
                           float(scale_hint), label)
 
@@ -89,7 +69,7 @@ class PotentialPair:
 
 @dataclass(frozen=True)
 class Eigenstate:
-    """An unnormalized bound state with its known energy and node count.
+    """An unnormalized bound state with its known energy.
 
     psi_prime rides along when the construction knows the derivative
     analytically; quadrature-based checks prefer it over finite differences.
@@ -97,7 +77,6 @@ class Eigenstate:
 
     energy: float
     psi: Callable
-    node_count: Optional[int] = None
     psi_prime: Optional[Callable] = None
 
 
@@ -115,7 +94,7 @@ def pair_potentials(W: Superpotential) -> PotentialPair:
         w, wprime = W.w_and_wprime(x)
         return 0.5 * (w * w + wprime)
 
-    return PotentialPair(_scalar_friendly(v_minus), _scalar_friendly(v_plus))
+    return PotentialPair(v_minus, v_plus)
 
 
 @dataclass(frozen=True)
@@ -162,32 +141,7 @@ def ground_state_minus(W: Superpotential) -> Eigenstate:
     def psi_prime(x):
         return -W.w(x) * np.exp(-W.integral(x))
 
-    return Eigenstate(0.0, _scalar_friendly(psi), 0, _scalar_friendly(psi_prime))
-
-
-def apply_raising(W: Superpotential, psi, psi_prime, energy_plus, node_count=None) -> Eigenstate:
-    """Map an H_plus eigenstate at energy_plus > 0 into the H_minus tower.
-
-    Returns (-psi' + W psi)/sqrt(2 energy_plus) at the same energy.  The
-    normalization keeps unit-norm inputs at unit norm for exact eigenstates.
-    The raised derivative follows without differentiating twice: substituting
-    psi'' = (W^2 + W' - 2 energy_plus) psi collapses it to
-    ((2 energy_plus - W^2) psi + W psi') / sqrt(2 energy_plus).
-    """
-    if not (energy_plus > 0):
-        raise ValueError("cannot raise the zero mode: energy_plus must be > 0")
-    scale = 1.0 / math.sqrt(2.0 * energy_plus)
-    two_e = 2.0 * energy_plus
-
-    def raised(x):
-        return scale * (-psi_prime(x) + W.w(x) * psi(x))
-
-    def raised_prime(x):
-        w = W.w(x)
-        return scale * ((two_e - w * w) * psi(x) + w * psi_prime(x))
-
-    return Eigenstate(float(energy_plus), _scalar_friendly(raised), node_count,
-                      _scalar_friendly(raised_prime))
+    return Eigenstate(0.0, psi, psi_prime)
 
 
 def riccati_residual(W: Superpotential, W1: Superpotential, epsilon, x):
@@ -197,10 +151,6 @@ def riccati_residual(W: Superpotential, W1: Superpotential, epsilon, x):
     localizes where a claimed (W, W1, eps) triple breaks down.  Each of W and
     W1 is sampled once, through its joint (W, W') sampler.
     """
-
-    def residual(x):
-        w, wprime = W.w_and_wprime(x)
-        w1, w1prime = W1.w_and_wprime(x)
-        return w * w + wprime - w1 * w1 + w1prime - 2.0 * epsilon
-
-    return _scalar_friendly(residual)(x)
+    w, wprime = W.w_and_wprime(x)
+    w1, w1prime = W1.w_and_wprime(x)
+    return w * w + wprime - w1 * w1 + w1prime - 2.0 * epsilon

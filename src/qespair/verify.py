@@ -123,10 +123,10 @@ def auto_grid(model: QesModel, target_decay: float = Tolerances.boundary_decay,
     boxes = [n * s for n in range(max(1, math.ceil((abs(model.x0) + s) / s)), AUTO_GRID_CAP + 1)]
     inside = [L for L in boxes if span[0] <= -L and L <= span[-1]]  # a prefix of boxes
     for batch in filter(None, [inside] + [[L] for L in boxes[len(inside):]]):
-        pairs = [np.abs(p).reshape(-1, 2) for p in model.states(np.outer(batch, [1, -1]).ravel())]
-        # rows (|psi(L)|, |psi(-L)|), each row's max() as the builtin takes it (NaN only at +L)
-        decayed = np.logical_and.reduce([np.where(a[:, 1] > a[:, 0], a[:, 1], a[:, 0])
-                                         <= target_decay * peak for a, peak in zip(pairs, peaks)])
+        # each step's larger edge, max(|psi(L)|, |psi(-L)|): NaN, so not decayed, if either is
+        edges = [np.abs(p).reshape(-1, 2).max(axis=1)
+                 for p in model.states(np.outer(batch, [1, -1]).ravel())]
+        decayed = np.logical_and.reduce([e <= target_decay * peak for e, peak in zip(edges, peaks)])
         if decayed.any():
             return Grid(batch[int(np.argmax(decayed))], n_points)
     _log.warning("decay target %s not reached inside L = %d scale hints; using the capped box",

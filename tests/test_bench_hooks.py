@@ -47,6 +47,18 @@ def test_traced_verify_and_crosscheck_count_work(tracer):
     assert tracer.counts["expressions.jet_points"] > 0
 
 
+@pytest.mark.parametrize("args", [
+    ["--family", "poly-wplus"],
+    ["--family", "custom", "--expr", "x + x^3/3", "--epsilon", "2"],
+], ids=["wplus-family", "phi-custom-seed"])
+def test_traced_verify_reaches_every_patched_boundary(tracer, args):
+    # a call that goes around a patched name would leave its counter at zero
+    assert quiet_main(["verify", *args]) == 0
+    counters = ("verify.auto_grid_psi_calls", "susy.potential_points",
+                "functions.cumint_calls", "verify.eigensolve_points")
+    assert [key for key in counters if not tracer.counts[key]] == []
+
+
 def test_traced_grid_ladder_counts_each_public_eigensolve_once(tracer):
     # the library calls of the grid-refine workload: two solves in verify_model, one 9-level
     from qespair import families, verify

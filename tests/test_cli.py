@@ -221,6 +221,19 @@ class TestValidation:
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: psi1 is zero on every point of {where}"]
 
+    @pytest.mark.parametrize("args,error", [
+        (["--family", "custom", "--expr", "x*0"],
+         "x*0 is zero on every point of the scan grid [-8.0, 8.0]"),
+        (["--family", "poly-phi-ces", "--a", "1e-300", "--b", "1"],
+         "a*x+b*x^3/3 (a=1e-300, b=1.0) is zero on every point of the scan grid "
+         "[-1.1313708498984762e-149, 1.1313708498984762e-149]"),
+    ], ids=["zero-seed", "underflowing-phi"])
+    def test_seed_zero_on_every_scan_point_is_named(self, args, error, capsys):
+        # not a list of all 401 scan points as zeros
+        code, out, err = run(["verify"] + args, capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {error}"]
+
     def test_underflowing_phi_slope_prints_only_its_error(self, capsys):
         # phi'^3 underflows to 0 in the W+ seed's second derivative
         code, out, err = run(["crosscheck", "--family", "custom", "--expr", "x*1e-150",
@@ -296,6 +309,16 @@ class TestVerify:
         assert report["config"]["family"] == "poly-wplus"
         assert report["config"]["params"] == {"a": 2.0, "b": 1.0}
         assert set(report["checks"]).issuperset({"energy_levels", "riccati_identity"})
+
+    @pytest.mark.parametrize("args", [
+        ["--family", "poly-phi", "--a", "1e300", "--b", "1e-300", "--epsilon", "1"],
+        ["--family", "poly-phi-ces", "--a", "1e160", "--b", "1"],
+    ], ids=["poly-phi", "poly-phi-ces"])
+    def test_huge_cubic_seed_parameter_gives_a_report(self, args, capsys):
+        # a^3 overflows a float; the model never forms it
+        code, out, _ = run(["verify"] + args, capsys)
+        assert code in (0, 1)
+        assert json.loads(out)["passed"] is (code == 0)
 
     def test_unreachable_tolerance_exits_one(self, capsys):
         code, out, _ = run(["verify", "--family", "poly-wplus", "--a", "2", "--b", "1",

@@ -86,8 +86,8 @@ def test_sign_probes_evaluate_each_generator_order_once(route):
         chk = check_sign_condition(sp)
         assert calls and max(calls.values()) == 1, dict(calls)
         radii = 5.0 * sp.scale_hint * np.array([1.0, 2.0, 4.0])
-        assert chk.right_samples == tuple(sp.w(float(r)) for r in radii)
-        assert chk.left_samples == tuple(sp.w(float(-r)) for r in radii)
+        assert chk.right_samples == tuple(sp.w(radii).tolist())
+        assert chk.left_samples == tuple(sp.w(-radii).tolist())
 
 
 STATE_MODELS = {
@@ -105,7 +105,8 @@ def test_joint_states_equal_each_state_bitwise(name):
     edges = np.array([grid.L, -grid.L])
     for xs, single in ((grid.points(), False), (edges, True)):
         for joint, state in zip(model.states(xs), (model.psi0, model.psi1)):
-            alone = [state.psi(float(x)) for x in xs] if single else state.psi(xs)
+            alone = (np.concatenate([state.psi(xs[i:i + 1]) for i in range(xs.size)])
+                     if single else state.psi(xs))
             assert np.array_equal(joint, alone), name
 
 
@@ -224,7 +225,7 @@ class TestBuildFromWplus:
 
     def test_first_excited_state_vanishes_at_the_node(self):
         model = build_from_wplus(parse_generator("sinh(x) - sinh(0.4)"))
-        assert abs(float(model.psi1.psi(model.x0))) < 1e-12
+        assert abs(model.psi1.psi(np.array([model.x0]))[0]) < 1e-12
         assert model.psi1.energy == model.epsilon
 
     def test_level_linking_identity_holds_on_the_probe_grid(self):
@@ -236,9 +237,8 @@ class TestBuildFromWplus:
     def test_superpotential_is_smooth_across_the_patch_boundary(self):
         model = build_from_wplus(parse_generator("2*x + x^3"))
         delta = 1e-3 * model.scale_hint
-        inside = float(model.W.w(model.x0 + 0.99 * delta))
-        outside = float(model.W.w(model.x0 + 1.01 * delta))
-        slope = abs(float(model.W.w_and_wprime(model.x0)[1]))
+        inside, outside = model.W.w(model.x0 + np.array([0.99, 1.01]) * delta)
+        slope = abs(model.W.w_and_wprime(np.array([model.x0]))[1][0])
         assert abs(outside - inside) < 0.05 * max(slope, 1.0) * delta
 
     def test_provenance_records_the_route(self):
@@ -281,8 +281,9 @@ class TestBuildFromPhi:
     def test_superpotentials_from_the_shape_function(self):
         model = build_from_phi(cubic_phi(), 1.0)
         # at x=1: phi=4/3, phi'=2, phi''=2 so W=(1+4/3)/2 and W1=(4/3-1)/2
-        assert float(model.W.w(1.0)) == pytest.approx(7.0 / 6.0, rel=1e-14)
-        assert float(model.W1.w(1.0)) == pytest.approx(1.0 / 6.0, rel=1e-14)
+        at_one = np.array([1.0])
+        assert model.W.w(at_one)[0] == pytest.approx(7.0 / 6.0, rel=1e-14)
+        assert model.W1.w(at_one)[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_epsilon_is_the_level_gap(self):
         model = build_from_phi(cubic_phi(), 2.0)

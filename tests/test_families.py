@@ -1,17 +1,17 @@
-"""Tests for the built-in model families and their closed forms."""
+"""Tests for the built-in model families against their closed forms."""
 
 import math
 
 import numpy as np
 import pytest
 
+from closed_forms import poly_phi_closed_forms, poly_phi_coefficients, poly_wplus_closed_forms
 from qespair.errors import ParameterError
 from qespair.families import (FAMILIES, PolyPhiParams, PolyWplusParams, SinhWplusParams,
-                              ces_epsilon, ces_exact_spectrum, ces_excited_states,
-                              poly_phi_ces_model, poly_phi_generator, poly_phi_model,
-                              poly_wplus_generator, poly_wplus_model, sinh_wplus_generator,
-                              sinh_wplus_model)
-from qespair.verify import auto_grid, count_nodes, rayleigh_quotient, verify_model
+                              ces_epsilon, ces_exact_spectrum, poly_phi_ces_model,
+                              poly_phi_generator, poly_phi_model, poly_wplus_generator,
+                              poly_wplus_model, sinh_wplus_generator, sinh_wplus_model)
+from qespair.verify import count_nodes, verify_model
 
 
 class TestPolynomialSeeds:
@@ -39,7 +39,7 @@ class TestPolynomialSeeds:
         grid = self.XS.reshape(2, 4)
         for fn in (gen.eval, gen.deriv1, gen.deriv2, gen.deriv3):
             assert fn(grid).shape == grid.shape
-            assert isinstance(float(fn(-0.7)), float)
+            assert isinstance(float(fn(-0.7)), float)  # a seed also takes a float
 
 
 class TestSinhWplusSeed:
@@ -66,7 +66,7 @@ class TestPolyWplus:
     def test_closed_forms_match_the_construction(self):
         model = poly_wplus_model(PolyWplusParams(2.0, 1.0))
         xs = model.probe_points()
-        cf = model.closed_form
+        cf = poly_wplus_closed_forms(2.0, 1.0)
         assert np.max(np.abs(cf.v_minus(xs) - model.potentials.v_minus(xs))) < 1e-10
         # wavefunctions share a normalization, so compare their ratio
         mid = np.abs(xs) < 3.0
@@ -76,13 +76,13 @@ class TestPolyWplus:
     def test_far_tails_evaluate_without_recursion(self):
         # 1600 panels out, past the default recursion limit
         model = poly_wplus_model(PolyWplusParams(2.0, 1.0))
-        assert model.psi0.psi(200.0) == 0.0
-        assert model.psi0.psi(-200.0) == 0.0
+        assert np.array_equal(model.psi0.psi(np.array([200.0, -200.0])), [0.0, 0.0])
 
     def test_potential_value_at_the_origin(self):
         # a=2, b=1: constant terms 3ab/(8a^2) + 3b/(8a) - a/2... collapsed by hand
         model = poly_wplus_model(PolyWplusParams(2.0, 1.0))
-        assert float(model.potentials.v_minus(0.0)) == pytest.approx(-0.125, abs=1e-13)
+        [v0] = model.potentials.v_minus(np.array([0.0]))
+        assert v0 == pytest.approx(-0.125, abs=1e-13)
 
     def test_node_structure(self):
         model = poly_wplus_model(PolyWplusParams(2.0, 1.0))
@@ -115,7 +115,7 @@ class TestPolyPhi:
 
     def test_partner_offsets_differ_by_a_third_of_the_gap(self):
         for a, b, eps in [(1.0, 1.0, 1.0), (2.0, 0.5, 0.7), (0.5, 2.0, 3.0)]:
-            params = PolyPhiParams(a, b, eps)
+            params = poly_phi_coefficients(a, b, eps)
             assert params.offset_plus - params.offset_minus == pytest.approx(
                 eps / 3.0, rel=1e-12)
 
@@ -129,7 +129,7 @@ class TestPolyPhi:
     def test_closed_forms_match_the_construction(self):
         model = poly_phi_model(PolyPhiParams(2.0, 0.5, 0.7))
         xs = model.probe_points()
-        cf = model.closed_form
+        cf = poly_phi_closed_forms(2.0, 0.5, 0.7)
         assert np.max(np.abs(cf.v_minus(xs) - model.potentials.v_minus(xs))) < 1e-12
         assert np.max(np.abs(cf.v_plus(xs) - model.potentials.v_plus(xs))) < 1e-12
         # wavefunctions share a normalization, so compare their ratio
@@ -159,25 +159,6 @@ class TestCes:
         assert ces_exact_spectrum(1.0, 1.0, 5) == [0.0, 1.5, 2.0, 2.5, 3.0, 3.5]
         assert ces_exact_spectrum(2.0, 1.0, 3) == [0.0, 0.75, 1.0, 1.25]
 
-    def test_excited_states_have_the_right_nodes_and_energies(self):
-        for n in (1, 2, 3):
-            state = ces_excited_states(1.0, 1.0, n)
-            assert state.energy == pytest.approx(ces_exact_spectrum(1.0, 1.0, n)[n])
-            assert state.node_count == n
-
-    def test_excited_states_solve_the_eigenproblem(self):
-        model = poly_phi_ces_model(1.0, 1.0)
-        grid = auto_grid(model)
-        for n in (1, 2, 3):
-            state = ces_excited_states(1.0, 1.0, n)
-            rq = rayleigh_quotient(state.psi, state.psi_prime,
-                                   model.potentials.v_minus, grid)
-            assert abs(rq - state.energy) < 1e-6
-
-    def test_node_free_index_is_refused(self):
-        with pytest.raises(ParameterError, match="n must be >= 1"):
-            ces_excited_states(1.0, 1.0, 0)
-
 
 class TestSinhWplus:
     def test_level_gap_tracks_the_node_location(self):
@@ -193,7 +174,8 @@ class TestSinhWplus:
     def test_double_well_shape_at_centered_node(self):
         model = sinh_wplus_model(SinhWplusParams(1.0, 1.0, 0.0))
         v = model.potentials.v_minus
-        assert float(v(0.0)) < float(v(2.5))
+        center, side = v(np.array([0.0, 2.5]))
+        assert center < side
         xs = model.probe_points()
         assert np.max(np.abs(v(xs) - v(-xs))) < 1e-9
 
@@ -212,10 +194,10 @@ class TestRegistry:
             assert model.epsilon > 0, name
 
     def test_phi_based_flags(self):
-        assert FAMILIES["poly-phi"].phi_based
-        assert FAMILIES["poly-phi-ces"].phi_based
-        assert not FAMILIES["poly-wplus"].phi_based
-        assert not FAMILIES["sinh-wplus"].phi_based
+        assert FAMILIES["poly-phi"].phi_seed is not None
+        assert FAMILIES["poly-phi-ces"].phi_seed is not None
+        assert FAMILIES["poly-wplus"].phi_seed is None
+        assert FAMILIES["sinh-wplus"].phi_seed is None
 
     def test_default_models_pass_verification(self):
         for name, spec in FAMILIES.items():

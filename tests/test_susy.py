@@ -1,14 +1,11 @@
-"""Tests for superpotential pairing, the zero mode, and the raising map."""
-
-import math
+"""Tests for superpotential pairing and the zero mode."""
 
 import numpy as np
 import pytest
 
 from qespair.errors import BrokenSusyError
-from qespair.susy import (apply_raising, check_sign_condition, ground_state_minus,
-                          make_superpotential, pair_potentials, riccati_residual)
-from qespair.verify import Grid, _simpson, rayleigh_quotient
+from qespair.susy import (check_sign_condition, ground_state_minus, make_superpotential,
+                          pair_potentials, riccati_residual)
 
 
 def linear_superpotential(slope=1.0):
@@ -50,7 +47,6 @@ class TestGroundState:
     def test_zero_mode_is_the_gaussian(self):
         state = ground_state_minus(linear_superpotential())
         assert state.energy == 0.0
-        assert state.node_count == 0
         xs = np.linspace(-3, 3, 13)
         assert np.max(np.abs(state.psi(xs) - np.exp(-0.5 * xs * xs))) < 1e-12
         assert np.max(np.abs(state.psi_prime(xs) + xs * np.exp(-0.5 * xs * xs))) < 1e-12
@@ -70,48 +66,6 @@ class TestGroundState:
         second = (state.psi(xs + h) - 2 * state.psi(xs) + state.psi(xs - h)) / h ** 2
         residual = -0.5 * second + pair.v_minus(xs) * state.psi(xs)
         assert np.max(np.abs(residual)) < 1e-6
-
-
-class TestRaisingMap:
-    def test_oscillator_first_excited_state(self):
-        W = linear_superpotential()
-        # ground state of V_plus sits at energy 1 and is the same gaussian
-        psi = lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
-        psi_prime = lambda x: -x * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
-        raised = apply_raising(W, psi, psi_prime, 1.0, node_count=1)
-        xs = np.linspace(-3, 3, 13)
-        expected = math.sqrt(2.0) * xs * np.exp(-0.5 * xs * xs)
-        assert np.max(np.abs(raised.psi(xs) - expected)) < 1e-12
-        assert raised.energy == 1.0
-        assert raised.node_count == 1
-
-    def test_raised_state_rayleigh_quotient_hits_the_energy(self):
-        W = linear_superpotential()
-        pair = pair_potentials(W)
-        psi = lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
-        psi_prime = lambda x: -x * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
-        raised = apply_raising(W, psi, psi_prime, 1.0)
-        grid = Grid(10.0, 2001)
-        rq = rayleigh_quotient(raised.psi, raised.psi_prime, pair.v_minus, grid)
-        assert abs(rq - 1.0) < 1e-6
-
-    def test_raised_state_is_orthogonal_to_the_zero_mode(self):
-        W = linear_superpotential()
-        ground = ground_state_minus(W)
-        psi = lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
-        psi_prime = lambda x: -x * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
-        raised = apply_raising(W, psi, psi_prime, 1.0)
-        grid = Grid(10.0, 2001)
-        x = grid.points()
-        g, r = ground.psi(x), raised.psi(x)
-        norm = math.sqrt(_simpson(g * g, grid.h) * _simpson(r * r, grid.h))
-        assert abs(_simpson(g * r, grid.h)) / norm < 1e-12
-
-    def test_zero_energy_input_is_refused(self):
-        W = linear_superpotential()
-        psi = lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
-        with pytest.raises(ValueError, match="zero mode"):
-            apply_raising(W, psi, psi, 0.0)
 
 
 class TestRiccatiResidual:

@@ -230,7 +230,7 @@ def scalar_walk(model, target_decay=Tolerances.boundary_decay):
     with np.errstate(all="ignore"):
         peaks = [float(np.max(np.abs(p))) for p in model.states(span)]
         for steps in range(max(1, math.ceil((abs(model.x0) + s) / s)), verify.AUTO_GRID_CAP + 1):
-            edges = [max(np.abs(p).tolist()) for p in model.states(np.array([steps * s, -steps * s]))]
+            edges = [np.max(np.abs(p)) for p in model.states(np.array([steps * s, -steps * s]))]
             if all(e <= target_decay * peak for e, peak in zip(edges, peaks)):
                 return steps * s
     return None
@@ -307,6 +307,19 @@ class TestAutoGrid:
             grid = auto_grid(build_from_wplus(parse_generator(expr)))
         assert grid.L == box == scalar_walk(build_from_wplus(parse_generator(expr)))
         assert not [r for r in caplog.records if r.name == "qespair.verify"]
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["right", "left"])
+    def test_nan_edge_sample_on_either_side_is_not_decayed(self, side, caplog):
+        # psi1 is NaN beyond x = 12 on one side: past the span, so only the edges see it
+        model = build_from_wplus(parse_generator("0.1*x"))
+        psi = model.psi1.psi
+        model = dataclasses.replace(model, psi1=dataclasses.replace(
+            model.psi1, psi=lambda x: np.where(side * x > 12.0, np.nan, psi(x))))
+        with caplog.at_level(logging.WARNING, logger="qespair.verify"):
+            grid = auto_grid(model)
+        assert grid.L == 50.0
+        assert [r.getMessage() for r in caplog.records] == [CAP_WARNING]
+        assert scalar_walk(model) is None
 
     def test_in_span_steps_are_one_states_call(self):
         model = poly_phi_ces_model(1.0, 1.0)
