@@ -157,17 +157,13 @@ def _family_params(cfg: ModelConfig):
     return spec, {**(spec.defaults if spec is not None else {}), **params}
 
 
-def _custom_generator(cfg: ModelConfig):
-    if not (cfg.expr and isinstance(cfg.expr, str)):
-        raise ConfigError("custom family requires --expr (a string)")
-    return parse_generator(cfg.expr, scale_hint=_number(cfg.scale_hint, "scale_hint"))
-
-
 def make_model(cfg: ModelConfig):
     spec, params = _family_params(cfg)
     if spec is not None:
         return spec.build(params)
-    gen = _custom_generator(cfg)
+    if not (cfg.expr and isinstance(cfg.expr, str)):
+        raise ConfigError("custom family requires --expr (a string)")
+    gen = parse_generator(cfg.expr, scale_hint=_number(cfg.scale_hint, "scale_hint"))
     eps = params.get("epsilon")
     return build_from_wplus(gen) if eps is None else build_from_phi(gen, eps)
 
@@ -209,7 +205,11 @@ def _sweep_values(spec: str):
     try:
         key, rng = spec.split("=", 1)
         start, stop, steps = rng.split(":")
-        values = np.linspace(float(start), float(stop), int(steps))
+        ends = float(start), float(stop)
+        with np.errstate(over="ignore", invalid="ignore"):  # STOP - START may overflow
+            values = np.linspace(*ends, int(steps))
+        if not np.all(np.isfinite([*ends, *values])):
+            raise ValueError("a sweep value is not finite")
     except ValueError as exc:
         raise ConfigError(f"bad --sweep {spec!r}: expected KEY=START:STOP:STEPS") from exc
     if len(values) < 1:
@@ -326,17 +326,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    cfg = _resolve_config(args)
-    spec, params = _family_params(cfg)
-    if spec is not None and spec.phi_seed is not None:
-        gen, eps = spec.phi_seed(params)
-    elif spec is None and cfg.expr and params.get("epsilon") is not None:
-        gen, eps = _custom_generator(cfg), params["epsilon"]
-    else:
-        phi_families = [name for name, s in FAMILIES.items() if s.phi_seed is not None]
-        raise ConfigError(f"crosscheck requires a phi-based family "
-                          f"({', '.join(phi_families)}, or custom --expr with --epsilon)")
-    result = cross_check_constructions(gen, eps)
+    model = make_model(_resolve_config(args))
+    if model.phi is None:  # a W_plus-route model has no seed phi to rebuild it from
+        raise ConfigError("crosscheck requires a phi-based family "
+                          "(poly-phi, poly-phi-ces, or custom --expr with --epsilon)")
+    result = cross_check_constructions(model)
     ok = result.max_discrepancy < CROSSCHECK_BUDGET
     print(f"v_minus_sup={_fmt(result.v_minus_sup)} psi0_sup={_fmt(result.psi0_sup)} "
           f"psi1_sup={_fmt(result.psi1_sup)} budget={_fmt(CROSSCHECK_BUDGET)} "

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import (GeneratorAdmissibilityError, InadmissibleModelError,
-                     ParameterError, PhiNotMonotoneError)
+from .errors import GeneratorAdmissibilityError, ParameterError, PhiNotMonotoneError
 from .functions import GeneratorFunction, _sample_finite, _sample_states, cumulative_integral
 from .susy import (Eigenstate, PotentialPair, Superpotential, check_sign_condition,
-                   ground_state_minus, make_superpotential, pair_potentials)
+                   make_superpotential, pair_potentials)
 
 __all__ = [
     "QesModel",
@@ -67,8 +66,9 @@ def probe_grid(x0: float, scale_hint: float) -> np.ndarray:
 class QesModel:
     """A constructed model: superpotential pair, potentials, and two states.
 
-    On the phi route ``phi`` is the seed itself, the ratio psi1/psi0;
-    on the W_plus route it is None.
+    On the phi route ``phi`` is the seed GeneratorFunction, whose value is
+    the ratio psi1/psi0; on the W_plus route it is None.  Only a phi-route
+    model can be cross-checked (cross_check_constructions).
     """
 
     W: Superpotential
@@ -79,7 +79,7 @@ class QesModel:
     psi0: Eigenstate
     psi1: Eigenstate
     scale_hint: float
-    phi: Optional[Callable] = None
+    phi: Optional[GeneratorFunction] = None
 
     def probe_points(self) -> np.ndarray:
         return probe_grid(self.x0, self.scale_hint)
@@ -94,7 +94,7 @@ class QesModel:
         psi0 = self.psi0.psi(x)
         if self.phi is None:
             return psi0, self.psi1.psi(x)
-        return psi0, self.phi(x) * psi0
+        return psi0, self.phi.eval(x) * psi0
 
 
 def find_single_zero(f: GeneratorFunction) -> float:
@@ -107,22 +107,21 @@ def find_single_zero(f: GeneratorFunction) -> float:
     an f that is zero on every scan point is refused as such.
     """
     name = f.label or "W+"
-    radius = PROBE_HALF_WIDTH * f.scale_hint
-    xs = np.linspace(-radius, radius, PROBE_POINTS)
+    xs = probe_grid(0.0, f.scale_hint)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.asarray(f.eval(xs), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise GeneratorAdmissibilityError(f"{name} is not finite everywhere on the scan grid")
     if not np.any(vals):
         raise GeneratorAdmissibilityError(
-            f"{name} is zero on every point of the scan grid [{-radius}, {radius}]")
+            f"{name} is zero on every point of the scan grid [{xs[0]}, {xs[-1]}]")
 
     # crossing i is an exact zero at xs[i] or a sign change from xs[i] to xs[i + 1]
     signs = np.sign(vals)
     crossings = np.union1d(np.flatnonzero(signs == 0), np.flatnonzero(signs[:-1] * signs[1:] < 0))
     if crossings.size == 0:
         raise GeneratorAdmissibilityError(
-            f"sign condition violated: {name} has no zero crossing on [{-radius}, {radius}]")
+            f"sign condition violated: {name} has no zero crossing on [{xs[0]}, {xs[-1]}]")
     if crossings.size > 1:
         raise GeneratorAdmissibilityError(
             f"{name} has multiple zeros (near {xs[crossings].tolist()}): not supported")
@@ -174,15 +173,6 @@ def _epsilon_from_slope(slope: float, x0: float) -> float:
         raise GeneratorAdmissibilityError(
             f"non-transversal or wrongly oriented zero: W+'(x0)={slope} at x0={x0}")
     return 0.5 * slope
-
-
-def _admissibility_gate(W: Superpotential, W1: Superpotential):
-    for sp, name in ((W, "W"), (W1, "W1")):
-        chk = check_sign_condition(sp)
-        if not chk:
-            raise InadmissibleModelError(
-                f"inadmissible construction: {name} fails the sign condition "
-                f"(right {chk.right_samples}, left {chk.left_samples})")
 
 
 def _superpotential(gen: GeneratorFunction, w_of, wprime_of, order: int,
@@ -241,11 +231,16 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
 
     W = _superpotential(w_plus, *half(-1.0), 2, x0, "W")
     W1 = _superpotential(w_plus, *half(1.0), 2, x0, "W1")
-    _admissibility_gate(W, W1)
-
-    psi0 = ground_state_minus(W)
-    integral1 = W1.integral
+    check_sign_condition(W)
+    check_sign_condition(W1)
+    integral0, integral1 = W.integral, W1.integral
     w1, _ = half(1.0)
+
+    def psi0_fn(x):  # the zero mode exp(-int W), normalizable by the sign condition
+        return np.exp(-integral0(x))
+
+    def psi0_prime(x):
+        return -W.w(x) * np.exp(-integral0(x))
 
     def psi1_fn(x):
         return w_plus.eval(x) * np.exp(-integral1(x))
@@ -254,6 +249,7 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
         wp, d1 = w_plus.eval(x), w_plus.deriv1(x)
         return (d1 - wp * w1(x, wp, d1)) * np.exp(-integral1(x))
 
+    psi0 = Eigenstate(0.0, psi0_fn, psi0_prime)
     psi1 = Eigenstate(eps, psi1_fn, psi1_prime)
     return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1, s)
 
@@ -310,7 +306,8 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
 
     W = _superpotential(phi, *half(-1.0), 3, x0, "W")
     W1 = _superpotential(phi, *half(1.0), 3, x0, "W1")
-    _admissibility_gate(W, W1)
+    check_sign_condition(W)
+    check_sign_condition(W1)
     w = W.w
 
     shape_integral = cumulative_integral(lambda x: phi.eval(x) / phi.deriv1(x),
@@ -331,17 +328,16 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
 
     psi0 = Eigenstate(0.0, psi0_fn, psi0_prime)
     psi1 = Eigenstate(eps, psi1_fn, psi1_prime)
-    return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1, s, phi=phi.eval)
+    return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1, s, phi=phi)
 
 
 @dataclass(frozen=True)
 class CrossCheckResult:
-    """Sup-norm discrepancies between the two construction routes."""
+    """Sup-norm discrepancies between a phi-route model and its W_plus rebuild."""
 
     v_minus_sup: float
     psi0_sup: float
     psi1_sup: float
-    model_phi: QesModel
     model_wplus: QesModel
 
     @property
@@ -349,19 +345,18 @@ class CrossCheckResult:
         return max(self.v_minus_sup, self.psi0_sup, self.psi1_sup)
 
 
-def cross_check_constructions(phi: GeneratorFunction, epsilon: float) -> CrossCheckResult:
-    """Build the same model through both routes and compare the outputs.
+def cross_check_constructions(model: QesModel) -> CrossCheckResult:
+    """Rebuild a phi-route model through the W_plus route and compare the two.
 
-    The phi route's combined superpotential 2*eps*phi/phi' is re-used as the
-    seed of the W_plus route.  Its first two derivatives are analytic in phi;
-    the third, read once at the node for the Taylor patch, is a fourth-order
-    central difference of the analytic second derivative, accurate to ~1e-12
-    relative.  Potentials are compared in sup norm over the probe
-    grid; wavefunctions are grid-normalized first.
+    model is what build_from_phi returned; its seed, gap and scale hint are
+    read from model.phi, model.epsilon and model.scale_hint.  Its combined
+    superpotential 2*eps*phi/phi' is the seed of the W_plus route.  Its first
+    two derivatives are analytic in phi; the third, read once at the node for
+    the Taylor patch, is a fourth-order central difference of the analytic
+    second derivative, accurate to ~1e-12 relative.  Potentials are compared
+    in sup norm over the probe grid; wavefunctions are grid-normalized first.
     """
-    model_b = build_from_phi(phi, epsilon)
-    eps = model_b.epsilon
-    s = phi.scale_hint
+    phi, eps, s = model.phi, model.epsilon, model.scale_hint
 
     def wp(x):  # 2 eps phi/phi'
         return 2.0 * eps * (phi.eval(x) / phi.deriv1(x))
@@ -388,9 +383,9 @@ def cross_check_constructions(phi: GeneratorFunction, epsilon: float) -> CrossCh
     seed = GeneratorFunction(*map(quiet, (wp, wp1, wp2, wp3)), s, "2*eps*phi/phi'")
     model_a = build_from_wplus(seed)
 
-    xs = model_b.probe_points()
+    xs = model.probe_points()
     where = f"the probe grid [{xs[0]}, {xs[-1]}]"
-    models = (model_a, model_b)
+    models = (model_a, model)
     v_a, v_b = (_sample_finite(m.potentials.v_minus, xs, where, "v_minus") for m in models)
     states_a, states_b = (_sample_states(m.states, xs, where) for m in models)
     v_diff = np.max(np.abs(v_a - v_b))
@@ -405,4 +400,4 @@ def cross_check_constructions(phi: GeneratorFunction, epsilon: float) -> CrossCh
         return float(np.max(np.abs(a - b)))
 
     p0, p1 = (aligned_gap(a, b) for a, b in zip(states_a, states_b))
-    return CrossCheckResult(float(v_diff), p0, p1, model_b, model_a)
+    return CrossCheckResult(float(v_diff), p0, p1, model_a)

@@ -21,10 +21,6 @@ class PhiNotMonotoneError(QesError, ValueError):
     """The seed function for the phi route is not strictly increasing."""
 
 
-class BrokenSusyError(QesError, ValueError):
-    """The candidate zero mode exp(-int W) is not normalizable."""
-
-
 class NonFiniteIntegrandError(QesError, ValueError):
     """An integrand returned inf or nan at a quadrature abscissa."""
 

@@ -229,19 +229,14 @@ def sinh_wplus_model(params: SinhWplusParams) -> QesModel:
 class FamilySpec:
     """A registry entry.  ``defaults`` names every parameter the family takes.
 
-    ``phi_seed`` gives the (phi, eps) seed of a family built on the
-    monotone-seed route; ``exact_spectrum`` gives levels 0..n_max of a
-    family whose whole ladder is known.
+    ``exact_spectrum`` gives levels 0..n_max of a family whose whole ladder
+    is known.  The route a family builds on is recorded in its models
+    (QesModel.phi).
     """
 
     defaults: dict
     build: Callable[[dict], QesModel]
-    phi_seed: Optional[Callable[[dict], tuple]] = None
     exact_spectrum: Optional[Callable[[dict, int], list]] = None
-
-
-def _phi_seed(p: dict) -> tuple:
-    return poly_phi_generator(PolyPhiParams(**p)), p["epsilon"]
 
 
 FAMILIES = {
@@ -249,10 +244,9 @@ FAMILIES = {
         {"a": 2.0, "b": 1.0}, lambda p: poly_wplus_model(PolyWplusParams(**p))),
     "poly-phi": FamilySpec(
         {"a": 1.0, "b": 1.0, "epsilon": 1.0},
-        lambda p: poly_phi_model(PolyPhiParams(**p)), phi_seed=_phi_seed),
+        lambda p: poly_phi_model(PolyPhiParams(**p))),
     "poly-phi-ces": FamilySpec(
         {"a": 1.0, "b": 1.0}, lambda p: poly_phi_ces_model(**p),
-        phi_seed=lambda p: _phi_seed(dict(p, epsilon=ces_epsilon(**p))),
         exact_spectrum=lambda p, n_max: ces_exact_spectrum(**p, n_max=n_max)),
     "sinh-wplus": FamilySpec(
         {"A": 1.0, "alpha": 1.0, "x0": 0.0}, lambda p: sinh_wplus_model(SinhWplusParams(**p))),

@@ -74,6 +74,9 @@ class GeneratorFunction:
     def __post_init__(self):
         if not (np.isfinite(self.scale_hint) and self.scale_hint > 0):
             raise ParameterError("scale_hint must be a positive finite number")
+        if not math.isfinite(100.0 * float(self.scale_hint)):  # auto_grid's widest box
+            raise ParameterError(f"scale_hint {self.scale_hint!r} is too large: "
+                                 f"100 scale hints overflow")
 
 
 def _sample_finite(fn: Callable, points: np.ndarray, where: str, *names: str):

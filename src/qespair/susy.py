@@ -6,7 +6,8 @@ A superpotential W generates the partner pair
 
 for Hamiltonians H = -(1/2) d^2/dx^2 + V.  When W(x) -> +1 side on the right
 and -1 side on the left (the sign condition), exp(-int W) is normalizable and
-is the zero-energy ground state of H_minus.
+is the zero-energy ground state of H_minus; check_sign_condition refuses a W
+that fails it.
 
 Every model callable here takes an array and returns an array of its shape.
 """
@@ -18,18 +19,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BrokenSusyError
+from .errors import InadmissibleModelError
 from .functions import CumulativeIntegral, _sample_finite, cumulative_integral
 
 __all__ = [
     "Superpotential",
     "PotentialPair",
     "Eigenstate",
-    "SignConditionCheck",
     "make_superpotential",
     "pair_potentials",
     "check_sign_condition",
-    "ground_state_minus",
     "riccati_residual",
 ]
 
@@ -97,51 +96,20 @@ def pair_potentials(W: Superpotential) -> PotentialPair:
     return PotentialPair(v_minus, v_plus)
 
 
-@dataclass(frozen=True)
-class SignConditionCheck:
-    """Outcome of the asymptotic sign probe, with the sampled values."""
-
-    ok: bool
-    right_samples: tuple
-    left_samples: tuple
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_sign_condition(W: Superpotential) -> SignConditionCheck:
+def check_sign_condition(W: Superpotential) -> None:
     """Probe W at 5, 10 and 20 scale hints on both sides of the origin.
 
-    Passes when every right probe is positive and every left probe negative.
-    All six probes are one W.w call, through the checked sampler.
+    Raises InadmissibleModelError, naming W and the six samples, unless every
+    right probe is positive and every left probe negative.  All six probes
+    are one W.w call, through the checked sampler.
     """
     radii = 5.0 * W.scale_hint * np.array([1.0, 2.0, 4.0])
     where = f"the sign-condition probes [{-radii[-1]}, {radii[-1]}]"
     samples = _sample_finite(W.w, np.concatenate([radii, -radii]), where, W.label).tolist()
     right, left = tuple(samples[:3]), tuple(samples[3:])
-    ok = all(v > 0 for v in right) and all(v < 0 for v in left)
-    return SignConditionCheck(ok, right, left)
-
-
-def ground_state_minus(W: Superpotential) -> Eigenstate:
-    """Zero mode psi0 = exp(-int W dx) of V_minus, at energy exactly 0.
-
-    Raises BrokenSusyError when the sign condition fails, since the candidate
-    zero mode is then not normalizable and the partner spectra realign.
-    """
-    chk = check_sign_condition(W)
-    if not chk:
-        raise BrokenSusyError(
-            f"broken SUSY: zero mode of {W.label} is not normalizable "
-            f"(right probes {chk.right_samples}, left probes {chk.left_samples})")
-
-    def psi(x):
-        return np.exp(-W.integral(x))
-
-    def psi_prime(x):
-        return -W.w(x) * np.exp(-W.integral(x))
-
-    return Eigenstate(0.0, psi, psi_prime)
+    if not (all(v > 0 for v in right) and all(v < 0 for v in left)):
+        raise InadmissibleModelError(f"inadmissible construction: {W.label} fails the sign "
+                                     f"condition (right {right}, left {left})")
 
 
 def riccati_residual(W: Superpotential, W1: Superpotential, epsilon, x):

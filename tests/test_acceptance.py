@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 import qespair as q
-from qespair.families import poly_phi_generator
 from qespair.verify import Grid, auto_grid, eigensolve
 
 DEFAULT_MODELS = [
@@ -148,8 +147,7 @@ def test_criterion_9_both_construction_routes_agree():
               (0.5, 2.0, 3.0), (1.0, 3.0, 0.2)]
     sups = []
     for a, b, eps in points:
-        result = q.cross_check_constructions(
-            poly_phi_generator(q.PolyPhiParams(a, b, eps)), eps)
+        result = q.cross_check_constructions(q.poly_phi_model(q.PolyPhiParams(a, b, eps)))
         sups.append(result.max_discrepancy)
     ok = max(sups) < 1e-8
     assert report(

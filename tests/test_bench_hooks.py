@@ -48,6 +48,17 @@ def test_traced_verify_and_crosscheck_count_work(tracer):
 
 
 @pytest.mark.parametrize("args", [
+    ["--family", "poly-phi"],
+    ["--family", "custom", "--expr", "x + x^3/3", "--epsilon", "2"],
+], ids=["phi-family", "phi-custom-seed"])
+def test_traced_crosscheck_times_the_build_and_both_routes(tracer, args):
+    # crosscheck builds its phi model through make_model, then the W+ route
+    assert quiet_main(["crosscheck", *args]) == 0
+    spans = ("cli.make_model", "construct.build", "construct.crosscheck")
+    assert [name for name in spans if not tracer.name_incl_ns[name]] == []
+
+
+@pytest.mark.parametrize("args", [
     ["--family", "poly-wplus"],
     ["--family", "custom", "--expr", "x + x^3/3", "--epsilon", "2"],
 ], ids=["wplus-family", "phi-custom-seed"])

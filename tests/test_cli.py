@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,13 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_strict(args, capsys):
+    """run, with any warning an exception: one that would print fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(args, capsys)
 
 
 class TestBuild:
@@ -192,6 +200,17 @@ class TestValidation:
         assert error.startswith("error:") and set(notices) <= {CAP_NOTICE}
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("args,hint", [
+        (["--family", "custom", "--expr", "x", "--scale-hint", "1e308"], "1e+308"),
+        (["--family", "sinh-wplus", "--alpha", "1e-308"], "1e+308"),
+        (["--family", "custom", "--expr", "x", "--scale-hint", "1e307"], "1e+307"),
+    ], ids=["scan-grid-overflows", "sinh-hint-overflows", "sign-probes-overflow"])
+    def test_scale_hint_whose_lengths_overflow_is_refused(self, args, hint, capsys):
+        code, out, err = run_strict(["verify"] + args, capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: scale_hint {hint} is too large: "
+                                    f"100 scale hints overflow"]
+
     @pytest.mark.parametrize("slope", ["1e-300", "3e-310"], ids=["normal", "subnormal"])
     def test_tiny_seed_slope_is_refused_by_the_potential_sampling(self, slope, capsys):
         code, out, err = run(["verify", "--family", "custom", "--expr", f"x*{slope}"], capsys)
@@ -287,11 +306,15 @@ class TestValidation:
         assert code == 2
         assert "multiple zeros" in err
 
-    def test_malformed_sweep(self, capsys):
-        code, _, err = run(["build", "--family", "poly-wplus", "--sweep", "b=1:2"],
-                           capsys)
-        assert code == 2
-        assert "KEY=START:STOP:STEPS" in err
+    @pytest.mark.parametrize("sweep", ["b=1:2", "b=1:inf:2", "b=-inf:1:2", "b=nan:1:1",
+                                       "b=1:inf:1", "b=-1e308:1e308:3"],
+                             ids=["two-fields", "infinite-stop", "infinite-start", "nan-start",
+                                  "infinite-unused-stop", "overflowing-span"])
+    def test_malformed_sweep(self, sweep, capsys):
+        code, out, err = run_strict(["build", "--family", "poly-wplus", "--sweep", sweep],
+                                    capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: bad --sweep {sweep!r}: expected KEY=START:STOP:STEPS"]
 
     def test_no_subcommand_prints_help(self, capsys):
         code, out, _ = run([], capsys)
@@ -501,10 +524,14 @@ class TestCrosscheck:
                             "--epsilon", "2"], capsys)
         assert code == 0 and "PASS" in out
 
-    def test_sum_route_families_are_refused(self, capsys):
-        code, _, err = run(["crosscheck", "--family", "poly-wplus"], capsys)
-        assert code == 2
-        assert "phi-based" in err
+    @pytest.mark.parametrize("args", [["--family", "poly-wplus"],
+                                      ["--family", "custom", "--expr", "2*x + x^3"]],
+                             ids=["sum-route-family", "custom-seed-without-gap"])
+    def test_sum_route_models_are_refused(self, args, capsys):
+        code, out, err = run(["crosscheck", *args], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: crosscheck requires a phi-based family (poly-phi, "
+                                    "poly-phi-ces, or custom --expr with --epsilon)"]
 
 
 ENTRY_ARGS = ["build", "--family", "poly-wplus", "--a", "2", "--b", "1"]

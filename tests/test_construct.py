@@ -11,8 +11,8 @@ from scipy.optimize import brentq
 from qespair import construct
 from qespair.construct import (build_from_phi, build_from_wplus, cross_check_constructions,
                                find_single_zero)
-from qespair.errors import (GeneratorAdmissibilityError, ParameterError,
-                            PhiNotMonotoneError, QueryRangeError)
+from qespair.errors import (GeneratorAdmissibilityError, InadmissibleModelError,
+                            ParameterError, PhiNotMonotoneError, QueryRangeError)
 from qespair.expressions import parse_generator
 from qespair.families import FAMILIES
 from qespair.functions import GeneratorFunction
@@ -81,13 +81,20 @@ def test_each_generator_order_is_evaluated_once_per_sample(route):
 def test_sign_probes_evaluate_each_generator_order_once(route):
     gen, calls = counted(cubic_wplus() if route == "wplus" else cubic_phi())
     model = build_from_wplus(gen) if route == "wplus" else build_from_phi(gen, 1.0)
+    radii = 5.0 * model.scale_hint * np.array([1.0, 2.0, 4.0])
     for sp in (model.W, model.W1):
         calls.clear()
-        chk = check_sign_condition(sp)
+        check_sign_condition(sp)
         assert calls and max(calls.values()) == 1, dict(calls)
-        radii = 5.0 * sp.scale_hint * np.array([1.0, 2.0, 4.0])
-        assert chk.right_samples == tuple(sp.w(radii).tolist())
-        assert chk.left_samples == tuple(sp.w(-radii).tolist())
+        # -W fails on every probe, and the refusal quotes the six samples
+        flipped = dataclasses.replace(sp, w=lambda x, w=sp.w: -w(x))
+        calls.clear()
+        with pytest.raises(InadmissibleModelError) as refused:
+            check_sign_condition(flipped)
+        assert calls and max(calls.values()) == 1, dict(calls)
+        right, left = tuple(flipped.w(radii).tolist()), tuple(flipped.w(-radii).tolist())
+        assert str(refused.value) == (f"inadmissible construction: {sp.label} fails the sign "
+                                      f"condition (right {right}, left {left})")
 
 
 STATE_MODELS = {
@@ -320,22 +327,21 @@ class TestBuildFromPhi:
     def test_provenance_records_the_route(self):
         phi = cubic_phi()
         model = build_from_phi(phi, 1.0)
-        assert model.phi is phi.eval
+        assert model.phi is phi
 
 
 class TestCrossCheck:
     def test_routes_agree_for_the_cubic_shape(self):
-        result = cross_check_constructions(cubic_phi(), 1.0)
+        result = cross_check_constructions(build_from_phi(cubic_phi(), 1.0))
         assert result.max_discrepancy < 1e-8
-        assert result.model_phi.phi is not None
         assert result.model_wplus.phi is None
 
     def test_routes_agree_for_a_parsed_shape(self):
-        result = cross_check_constructions(parse_generator("x + x^3/3"), 2.0)
+        result = cross_check_constructions(build_from_phi(parse_generator("x + x^3/3"), 2.0))
         assert result.max_discrepancy < 1e-8
 
     def test_discrepancy_fields_are_all_small(self):
-        result = cross_check_constructions(cubic_phi(), 1.0)
+        result = cross_check_constructions(build_from_phi(cubic_phi(), 1.0))
         assert result.v_minus_sup < 1e-8
         assert result.psi0_sup < 1e-8
         assert result.psi1_sup < 1e-8
@@ -351,7 +357,7 @@ class TestCrossCheck:
 
         monkeypatch.setattr(construct, "build_from_wplus", wplus_route)
         with pytest.raises(QueryRangeError) as refused:
-            cross_check_constructions(cubic_phi(), 1.0)
+            cross_check_constructions(build_from_phi(cubic_phi(), 1.0))
         assert str(refused.value) == "v_minus is not finite on the probe grid [-8.0, 8.0]"
 
 

@@ -1,11 +1,11 @@
-"""Tests for superpotential pairing and the zero mode."""
+"""Tests for superpotential pairing and the sign condition."""
 
 import numpy as np
 import pytest
 
-from qespair.errors import BrokenSusyError
-from qespair.susy import (check_sign_condition, ground_state_minus, make_superpotential,
-                          pair_potentials, riccati_residual)
+from qespair.errors import InadmissibleModelError
+from qespair.susy import (check_sign_condition, make_superpotential, pair_potentials,
+                          riccati_residual)
 
 
 def linear_superpotential(slope=1.0):
@@ -33,39 +33,13 @@ class TestPairPotentials:
 
 class TestSignCondition:
     def test_confining_superpotential_passes(self):
-        chk = check_sign_condition(linear_superpotential())
-        assert bool(chk) is True
-        assert chk.right_samples == (5.0, 10.0, 20.0)
-        assert chk.left_samples == (-5.0, -10.0, -20.0)
+        assert check_sign_condition(linear_superpotential()) is None
 
-    def test_reversed_superpotential_fails(self):
-        chk = check_sign_condition(linear_superpotential(-1.0))
-        assert bool(chk) is False
-
-
-class TestGroundState:
-    def test_zero_mode_is_the_gaussian(self):
-        state = ground_state_minus(linear_superpotential())
-        assert state.energy == 0.0
-        xs = np.linspace(-3, 3, 13)
-        assert np.max(np.abs(state.psi(xs) - np.exp(-0.5 * xs * xs))) < 1e-12
-        assert np.max(np.abs(state.psi_prime(xs) + xs * np.exp(-0.5 * xs * xs))) < 1e-12
-
-    def test_non_normalizable_zero_mode_is_rejected(self):
-        with pytest.raises(BrokenSusyError, match="not normalizable"):
-            ground_state_minus(linear_superpotential(-1.0))
-
-    def test_zero_mode_solves_its_schrodinger_equation(self):
-        W = make_superpotential(
-            lambda x: np.asarray(x, dtype=float) ** 3,
-            lambda x: (x ** 3, 3.0 * x ** 2))
-        state = ground_state_minus(W)
-        pair = pair_potentials(W)
-        xs = np.linspace(-1.5, 1.5, 11)
-        h = 1e-4
-        second = (state.psi(xs + h) - 2 * state.psi(xs) + state.psi(xs - h)) / h ** 2
-        residual = -0.5 * second + pair.v_minus(xs) * state.psi(xs)
-        assert np.max(np.abs(residual)) < 1e-6
+    def test_reversed_superpotential_fails_with_its_samples(self):
+        with pytest.raises(InadmissibleModelError) as refused:
+            check_sign_condition(linear_superpotential(-1.0))
+        assert str(refused.value) == ("inadmissible construction: W fails the sign condition "
+                                      "(right (-5.0, -10.0, -20.0), left (5.0, 10.0, 20.0))")
 
 
 class TestRiccatiResidual:
