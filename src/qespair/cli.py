@@ -23,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import logging
 import math
@@ -168,37 +169,40 @@ def make_model(cfg: ModelConfig):
     return build_from_wplus(gen) if eps is None else build_from_phi(gen, eps)
 
 
-def _resolve_grid(cfg: ModelConfig, model) -> Grid:
-    """The configured box, or the auto grid at the configured boundary decay."""
-    n = _number(cfg.grid.get("N", Grid.N), "grid.N", int)
-    if n < 3 or n % 2 == 0:
-        raise ConfigError(f"grid N (--grid-n) must be an odd integer >= 3 (got {n})")
-    if 8 * n > np.iinfo(np.intp).max:  # numpy refuses an array whose bytes overflow intp
-        raise ConfigError(f"grid N (--grid-n) = {n} is more points than numpy can address")
-    if "L" not in cfg.grid:
-        return auto_grid(model, _resolve_tolerances(cfg).boundary_decay, n)
-    L = _number(cfg.grid["L"], "grid.L")
-    try:
-        return Grid(L, n)
-    except ValueError as exc:  # N is checked above, so the box is at fault
-        raise ConfigError(f"grid L (--grid-l) = {L!r} is refused: {exc}") from exc
+def _settings(args, levels: int = 0):
+    """A command's config, Tolerances and box, each setting checked before any model.
 
-
-def _require_levels(grid: Grid, k: int):
-    """eigensolve resolves at most N // 4 levels on an N-point grid."""
-    if k > grid.N // 4:
-        raise ConfigError(f"grid N (--grid-n) = {grid.N} resolves at most {grid.N // 4} "
-                          f"levels; {k} are needed (use N >= {4 * k + 1})")
-
-
-def _resolve_tolerances(cfg: ModelConfig) -> Tolerances:
+    The box is a Grid when L is set, else N for _grid.  levels is how many
+    eigenvalues the command solves for: eigensolve resolves N // 4 on N points."""
+    cfg = _resolve_config(args)
+    _family_params(cfg)
     overrides = {}
     for key, value in cfg.tolerances.items():
         overrides[key] = _number(value, f"tolerances.{key}")
         if not (math.isfinite(overrides[key]) and overrides[key] > 0):
             raise ConfigError(f"config value tolerances.{key} must be positive and finite "
                               f"(got {value!r})")
-    return Tolerances(**overrides)
+    tol = Tolerances(**overrides)
+    n = _number(cfg.grid.get("N", Grid.N), "grid.N", int)
+    if n < 3 or n % 2 == 0:
+        raise ConfigError(f"grid N (--grid-n) must be an odd integer >= 3 (got {n})")
+    if 8 * n > np.iinfo(np.intp).max:  # numpy refuses an array whose bytes overflow intp
+        raise ConfigError(f"grid N (--grid-n) = {n} is more points than numpy can address")
+    if levels > n // 4:
+        raise ConfigError(f"grid N (--grid-n) = {n} resolves at most {n // 4} "
+                          f"levels; {levels} are needed (use N >= {4 * levels + 1})")
+    if "L" not in cfg.grid:
+        return cfg, tol, n
+    L = _number(cfg.grid["L"], "grid.L")
+    try:
+        return cfg, tol, Grid(L, n)
+    except ValueError as exc:  # N is checked above, so the box is at fault
+        raise ConfigError(f"grid L (--grid-l) = {L!r} is refused: {exc}") from exc
+
+
+def _grid(model, tol: Tolerances, box) -> Grid:
+    """The configured Grid, or the auto grid of N points at the configured boundary decay."""
+    return box if isinstance(box, Grid) else auto_grid(model, tol.boundary_decay, box)
 
 
 def _sweep_values(spec: str):
@@ -233,20 +237,23 @@ def _summary_line(cfg: ModelConfig, model) -> str:
     return " ".join(parts)
 
 
+def _write(path: str, write):
+    """write(fh) on path opened for text; a failure is a ConfigError naming path."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit_table(model, grid: Grid, path: str):
     names = ["x", "v_minus", "v_plus", "w", "w1", "psi0", "psi1"]
     fns = (model.potentials.v_minus, model.potentials.v_plus, model.W.w, model.W1.w)
     x = grid.points()
     columns = ([x] + [_sample_finite(f, x, grid.where, n) for n, f in zip(names[1:], fns)]
                + _sample_finite(model.states, x, grid.where, *names[5:]))
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for row in zip(*columns):
-                writer.writerow([_fmt(v) for v in row])
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    rows = ([_fmt(v) for v in row] for row in zip(*columns))
+    _write(path, lambda fh: csv.writer(fh).writerows(itertools.chain([names], rows)))
 
 
 def _sweep_points(cfg: ModelConfig, args):
@@ -260,25 +267,23 @@ def _sweep_points(cfg: ModelConfig, args):
 
 
 def cmd_build(args) -> int:
-    cfg = _resolve_config(args)
+    cfg, tol, box = _settings(args)
     for sub, point in _sweep_points(cfg, args):
         model = make_model(sub)
         path = sub.output.get("path")
         if path:
-            _emit_table(model, _resolve_grid(sub, model),
+            _emit_table(model, _grid(model, tol, box),
                         path if point is None else f"{path}.{point}.csv")
         print(_summary_line(sub, model))
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = _resolve_config(args)
+    cfg, tol, box = _settings(args, VERIFY_LEVELS)
     payloads = []
     for sub, _ in _sweep_points(cfg, args):
         model = make_model(sub)
-        grid = _resolve_grid(sub, model)
-        _require_levels(grid, VERIFY_LEVELS)
-        report = verify_model(model, grid, _resolve_tolerances(sub))
+        report = verify_model(model, _grid(model, tol, box), tol)
         payloads.append({"config": dataclasses.asdict(sub), **report.to_dict()})
     _write_json(payloads if args.sweep else payloads[0], cfg.output.get("path"))
     return 0 if all(p["passed"] for p in payloads) else 1
@@ -287,28 +292,22 @@ def cmd_verify(args) -> int:
 def _write_json(payload, path: Optional[str]):
     text = json.dumps(payload, indent=2)
     if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+        _write(path, lambda fh: fh.write(text + "\n"))
     else:
         print(text)
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _resolve_config(args)
     n_max = args.n_max
     if n_max < 0:
         raise ConfigError("n-max must be >= 0")
     if n_max > MAX_SPECTRUM_DEPTH:
         raise ConfigError(
             f"n-max {n_max} exceeds the supported excited-state depth ({MAX_SPECTRUM_DEPTH})")
+    cfg, tol, box = _settings(args, n_max + 1)
     spec, params = _family_params(cfg)
     model = make_model(cfg)
-    grid = _resolve_grid(cfg, model)
-    _require_levels(grid, n_max + 1)
-    energies, _ = eigensolve(model.potentials.v_minus, grid, n_max + 1)
+    energies, _ = eigensolve(model.potentials.v_minus, _grid(model, tol, box), n_max + 1)
 
     if spec is not None and spec.exact_spectrum is not None:
         analytic = spec.exact_spectrum(params, n_max)
@@ -326,7 +325,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    model = make_model(_resolve_config(args))
+    model = make_model(_settings(args)[0])
     if model.phi is None:  # a W_plus-route model has no seed phi to rebuild it from
         raise ConfigError("crosscheck requires a phi-based family "
                           "(poly-phi, poly-phi-ces, or custom --expr with --epsilon)")

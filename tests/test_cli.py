@@ -97,6 +97,23 @@ class TestBuild:
         assert values == sorted(values)
 
 
+SETTING_COMMANDS = {
+    "build": ["build", "--family", "poly-wplus"],
+    "build-emit": ["build", "--family", "poly-wplus", "--emit", "{table}"],
+    "verify": ["verify", "--family", "poly-wplus"],
+    "spectrum": ["spectrum", "--family", "poly-wplus"],
+    "crosscheck": ["crosscheck", "--family", "poly-phi"],
+}
+TOLERANCE_ERROR = "config value tolerances.energy must be positive and finite (got -1.0)"
+SETTING_ERRORS = {
+    "tol-e": (["--tol-e", "-1"], TOLERANCE_ERROR),
+    "grid-n": (["--grid-n", "4"], "grid N (--grid-n) must be an odd integer >= 3 (got 4)"),
+    "grid-l": (["--grid-l", "-3"],
+               "grid L (--grid-l) = -3.0 is refused: L must be positive and finite"),
+    "tol-e-with-grid-l": (["--tol-e", "-1", "--grid-l", "8"], TOLERANCE_ERROR),
+}
+
+
 class TestValidation:
     def test_nonpositive_parameter(self, capsys):
         code, _, err = run(["build", "--family", "poly-wplus", "--a", "2", "--b", "-1"],
@@ -159,6 +176,22 @@ class TestValidation:
         assert code == 2
         assert err.startswith("error:") and setting in err
 
+    @pytest.mark.parametrize("command,setting", [
+        *((command, setting) for setting in ("tol-e", "grid-n", "grid-l")
+          for command in SETTING_COMMANDS),
+        ("build-emit", "tol-e-with-grid-l"),
+        ("spectrum", "tol-e-with-grid-l"),
+    ])
+    def test_invalid_setting_is_refused_alike_by_every_command(self, command, setting,
+                                                                tmp_path, capsys):
+        # each setting is checked before the model, whatever else the command reads
+        table = tmp_path / "table.csv"
+        args, message = SETTING_ERRORS[setting]
+        command_args = [a.format(table=table) for a in SETTING_COMMANDS[command]]
+        code, out, err = run(command_args + args, capsys)
+        assert code == 2 and out == "" and not table.exists()
+        assert err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("args,message", [
         (["verify", "--family", "poly-wplus", "--grid-l", "1e60"], "not finite on the grid"),
         (["build", "--family", "poly-wplus", "--grid-l", "1e20", "--grid-n", "5"],
@@ -174,9 +207,15 @@ class TestValidation:
         (["build", "--family", "custom", "--expr", "1/x", "--epsilon", "1"],
          "1/x is not monotonically increasing"),
         (["verify", "--family", "poly-wplus", "--tol-e", "-1"], "tolerances.energy"),
+        (["build", "--family", "poly-wplus", "--sweep", "a=1:2:0"],
+         "sweep needs at least one step"),
+        (["spectrum", "--n-max", "-1"], "n-max must be >= 0"),
+        (["build", "--family", "sinh-wplus", "--x0", "inf"], "x0 must be finite"),
+        (["build", "--family", "sinh-wplus", "--x0", "nan"], "x0 must be finite"),
     ], ids=["potential-overflows", "box-beyond-the-panel-range", "negative-scale-hint",
             "sinh-potential-overflows", "table-overflows", "seed-pole-on-the-scan",
-            "seed-overflows-on-the-scan", "phi-slope-pole", "negative-tolerance"])
+            "seed-overflows-on-the-scan", "phi-slope-pole", "negative-tolerance",
+            "sweep-without-steps", "negative-n-max", "infinite-x0", "nan-x0"])
     def test_out_of_range_input_is_a_usage_error(self, args, message, tmp_path, capsys):
         table = tmp_path / "table.csv"
         code, out, err = run(args + ["--emit", str(table)] if args[0] == "build" else args,
@@ -455,9 +494,12 @@ class TestConfigFile:
         ({"grid": {"N": True}}, "grid.N"),
         ({"tolerances": {"energy": "nan"}}, "tolerances.energy"),
         ({"tolerances": {"energy": 0}}, "tolerances.energy"),
+        ({"family": "nope"}, "unknown family 'nope'"),
+        ([1, 2], "must contain a JSON object"),
     ], ids=["grid-n", "grid-l", "tolerance", "scale-hint", "param", "grid-section",
             "params-section", "expr", "output-path", "fractional-grid-n", "family-list",
-            "boolean-param", "boolean-grid-n", "nan-tolerance", "zero-tolerance"])
+            "boolean-param", "boolean-grid-n", "nan-tolerance", "zero-tolerance",
+            "unknown-family", "not-an-object"])
     def test_mistyped_value_is_a_usage_error(self, config, key, tmp_path, capsys):
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps(config))

@@ -99,6 +99,12 @@ def narrow_well(x):
     return 0.5 * x * x - 400.0 * np.exp(-((x - 0.02) / 0.004) ** 2)
 
 
+def needle_well(x):
+    """A deeper, narrower well: no solve from the shifts that miss it meets the residual gate."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * x * x - 1e4 * np.exp(-((x - 0.02) / 0.001) ** 2)
+
+
 def _oracle_cases():
     cases = [pytest.param(harmonic, 10.0, id="harmonic")]
     for name, spec in FAMILIES.items():
@@ -154,18 +160,21 @@ class TestCertifiedInverseIteration:
         assert sizes["dgttrf"].count(32001) == 4
         assert sizes["dgttrs"].count(32001) == 4
 
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_missed_bound_state_falls_back_to_lapack(self, k, caplog):
-        # Every 8th point misses the well, so the shifts start at 0.4999
-        # while the ground level is -3.96: only the certificate sees it.
+    @pytest.mark.parametrize("well,k,ground,reason", [
+        (narrow_well, 1, -3.9617, "Sturm count"),
+        (narrow_well, 3, -3.9617, "overlap"),
+        (needle_well, 4, -1231.056, "residual gate"),
+    ], ids=["sturm-count", "overlap", "residual-gate"])
+    def test_missed_bound_state_falls_back_to_lapack(self, well, k, ground, reason, caplog):
+        # Every 8th point misses the well, so the shifts start near 0.5
+        # while the ground level is far below: only the certificate sees it.
         grid = Grid(10.0, 4001)
         with caplog.at_level(logging.DEBUG, logger="qespair.verify"):
-            energies, vectors = eigensolve(narrow_well, grid, k)
-        ref_energies, ref_vectors, _ = lapack_levels(narrow_well, grid, k)
-        assert energies[0] == pytest.approx(-3.9617, abs=1e-4)
+            energies, vectors = eigensolve(well, grid, k)
+        ref_energies, ref_vectors, _ = lapack_levels(well, grid, k)
+        assert energies[0] == pytest.approx(ground, abs=1e-4)
         assert np.array_equal(energies, ref_energies)
         assert np.array_equal(vectors, ref_vectors)
-        reason = "Sturm count" if k == 1 else "overlap"
         assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
             (logging.DEBUG, f"eigensolve certificate failed ({reason}) at N=4001, k={k}; "
                             f"using bisection")]
