@@ -167,74 +167,70 @@ def _polish_zero(f: GeneratorFunction, a: float, b: float) -> float:
     return x
 
 
-def _epsilon_from_slope(slope: float, x0: float) -> float:
-    """Level gap fixed by the slope at the node: eps = W_plus'(x0)/2 > 0."""
-    if not (slope > 0):
-        raise GeneratorAdmissibilityError(
-            f"non-transversal or wrongly oriented zero: W+'(x0)={slope} at x0={x0}")
-    return 0.5 * slope
-
-
-def _superpotential(gen: GeneratorFunction, w_of, wprime_of, order: int,
-                    x0: float, label: str) -> Superpotential:
-    """W from w_of(x, g_0..g_{order-1}) and wprime_of(x, g_0..g_order), where
-    g_k is the k-th derivative of gen at x.
+def _pair(gen: GeneratorFunction, w_of, wprime_of, order: int,
+          x0: float) -> tuple[Superpotential, Superpotential]:
+    """(W, W1), each passed through check_sign_condition: W is sign -1 and W1
+    sign +1 of w_of(sign, x, g_0..g_{order-1}) with its slope
+    wprime_of(sign, x, g_0..g_order), where g_k is the k-th derivative of gen
+    at x.
 
     w and the joint (w, w') sampler each evaluate every order of gen they need
     once.
     """
     orders = (gen.eval, gen.deriv1, gen.deriv2, gen.deriv3)[:order + 1]
 
-    def w(x):
-        x = np.asarray(x, dtype=float)
-        return w_of(x, *(f(x) for f in orders[:-1]))
+    def checked(sign, label):
+        def w(x):
+            x = np.asarray(x, dtype=float)
+            return w_of(sign, x, *(f(x) for f in orders[:-1]))
 
-    def w_and_wprime(x):
-        x = np.asarray(x, dtype=float)
-        g = [f(x) for f in orders]
-        return w_of(x, *g[:-1]), wprime_of(x, *g)
+        def w_and_wprime(x):
+            x = np.asarray(x, dtype=float)
+            g = [f(x) for f in orders]
+            return w_of(sign, x, *g[:-1]), wprime_of(sign, x, *g)
 
-    return make_superpotential(w, w_and_wprime, x0, gen.scale_hint, label)
+        W = make_superpotential(w, w_and_wprime, x0, gen.scale_hint, label)
+        check_sign_condition(W)
+        return W
+
+    return checked(-1.0, "W"), checked(1.0, "W1")
 
 
 def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
     """Construct a model from the combined superpotential W_plus = W + W1."""
     x0 = find_single_zero(w_plus)
     d1_0 = float(w_plus.deriv1(x0))
-    eps = _epsilon_from_slope(d1_0, x0)
+    d2_0 = float(w_plus.deriv2(x0))
+    # The gap eps = W+'(x0)/2 must be > 0.  Schroder's estimate W+ W+''/W+'^2
+    # at x0 is (m - 1)/m for a zero of multiplicity m: it refuses a multiple
+    # zero that the scan did not land on.
+    if not d1_0 > 0 or abs(float(w_plus.eval(x0)) / d1_0 * (d2_0 / d1_0)) >= 0.5:
+        raise GeneratorAdmissibilityError(
+            f"non-transversal or wrongly oriented zero: W+'(x0)={d1_0} at x0={x0}")
+    eps = 0.5 * d1_0
     s = w_plus.scale_hint
     delta = TAYLOR_WINDOW * s
 
-    d2_0 = float(w_plus.deriv2(x0))
     d3_0 = float(w_plus.deriv3(x0))
     # Taylor form of the quotient across its removable singularity.
     c0 = d2_0 / d1_0
     c1 = (d3_0 - d2_0 * c0) / (2.0 * d1_0)
 
-    def half(sign):
-        """W (sign -1) or W1 (sign +1) as (W+ + sign*R)/2, with its slope,
-        from wp, d1, d2 = W+, W+', W+'' at x."""
+    # W and W1 are (W+ + sign*R)/2, from wp, d1, d2 = W+, W+', W+'' at x
+    def w_of(sign, x, wp, d1):
+        t = x - x0
+        near = np.abs(t) < delta
+        r = np.where(near, c0 + c1 * t, (d1 - d1_0) / np.where(near, 1.0, wp))
+        return 0.5 * (wp + sign * r)
 
-        def w(x, wp, d1):
-            t = x - x0
-            near = np.abs(t) < delta
-            r = np.where(near, c0 + c1 * t, (d1 - d1_0) / np.where(near, 1.0, wp))
-            return 0.5 * (wp + sign * r)
+    def wprime_of(sign, x, wp, d1, d2):
+        near = np.abs(x - x0) < delta
+        wp = np.where(near, 1.0, wp)
+        r1 = np.where(near, c1, d2 / wp - (d1 - d1_0) * d1 / (wp * wp))
+        return 0.5 * (d1 + sign * r1)
 
-        def wprime(x, wp, d1, d2):
-            near = np.abs(x - x0) < delta
-            wp = np.where(near, 1.0, wp)
-            r1 = np.where(near, c1, d2 / wp - (d1 - d1_0) * d1 / (wp * wp))
-            return 0.5 * (d1 + sign * r1)
-
-        return w, wprime
-
-    W = _superpotential(w_plus, *half(-1.0), 2, x0, "W")
-    W1 = _superpotential(w_plus, *half(1.0), 2, x0, "W1")
-    check_sign_condition(W)
-    check_sign_condition(W1)
+    W, W1 = _pair(w_plus, w_of, wprime_of, 2, x0)
     integral0, integral1 = W.integral, W1.integral
-    w1, _ = half(1.0)
 
     def psi0_fn(x):  # the zero mode exp(-int W), normalizable by the sign condition
         return np.exp(-integral0(x))
@@ -246,8 +242,7 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
         return w_plus.eval(x) * np.exp(-integral1(x))
 
     def psi1_prime(x):
-        wp, d1 = w_plus.eval(x), w_plus.deriv1(x)
-        return (d1 - wp * w1(x, wp, d1)) * np.exp(-integral1(x))
+        return (w_plus.deriv1(x) - w_plus.eval(x) * W1.w(x)) * np.exp(-integral1(x))
 
     psi0 = Eigenstate(0.0, psi0_fn, psi0_prime)
     psi1 = Eigenstate(eps, psi1_fn, psi1_prime)
@@ -287,28 +282,24 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
     require_increasing(probe_grid(0.0, s))
     x0 = find_single_zero(phi)
     require_increasing(probe_grid(x0, s))
+    p1_0 = float(phi.deriv1(x0))
+    # Schroder's estimate, as on the W_plus route: phi' > 0 on the probe grid
+    # does not rule out a multiple zero between its points
+    if not p1_0 > 0 or abs(float(phi.eval(x0)) / p1_0 * (float(phi.deriv2(x0)) / p1_0)) >= 0.5:
+        raise PhiNotMonotoneError(
+            f"{name} is not strictly increasing through its zero: "
+            f"derivative {p1_0} at x0={x0} (multiple zero)")
 
-    def half(sign):
-        """W (sign -1) or W1 (sign +1) as (W+ + sign*R)/2, with its slope,
-        from p0..p3 = phi and its first three derivatives at x.
+    # W and W1 are (W+ + sign*R)/2 with W+ = 2 eps phi/phi' and R = -phi''/phi',
+    # from p0..p3 = phi and its first three derivatives at x
+    def w_of(sign, x, p0, p1, p2):
+        return (eps * p0 - sign * (0.5 * p2)) / p1
 
-        Here W+ = 2 eps phi/phi' and R = -phi''/phi'.
-        """
+    def wprime_of(sign, x, p0, p1, p2, p3):
+        num = eps * p0 - sign * (0.5 * p2)
+        return (eps * p1 - sign * (0.5 * p3)) / p1 - num * p2 / (p1 * p1)
 
-        def w(x, p0, p1, p2):
-            return (eps * p0 - sign * (0.5 * p2)) / p1
-
-        def wprime(x, p0, p1, p2, p3):
-            num = eps * p0 - sign * (0.5 * p2)
-            return (eps * p1 - sign * (0.5 * p3)) / p1 - num * p2 / (p1 * p1)
-
-        return w, wprime
-
-    W = _superpotential(phi, *half(-1.0), 3, x0, "W")
-    W1 = _superpotential(phi, *half(1.0), 3, x0, "W1")
-    check_sign_condition(W)
-    check_sign_condition(W1)
-    w = W.w
+    W, W1 = _pair(phi, w_of, wprime_of, 3, x0)
 
     shape_integral = cumulative_integral(lambda x: phi.eval(x) / phi.deriv1(x),
                                          x0, scale_hint=s)
@@ -317,14 +308,14 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
         return phi.deriv1(x) ** (-0.5) * np.exp(-eps * shape_integral(x))
 
     def psi0_prime(x):
-        return -w(x) * psi0_fn(x)
+        return -W.w(x) * psi0_fn(x)
 
     def psi1_fn(x):
         return phi.eval(x) * psi0_fn(x)
 
     def psi1_prime(x):
         p0 = psi0_fn(x)
-        return phi.deriv1(x) * p0 + phi.eval(x) * (-w(x) * p0)
+        return phi.deriv1(x) * p0 + phi.eval(x) * (-W.w(x) * p0)
 
     psi0 = Eigenstate(0.0, psi0_fn, psi0_prime)
     psi1 = Eigenstate(eps, psi1_fn, psi1_prime)
@@ -354,7 +345,8 @@ def cross_check_constructions(model: QesModel) -> CrossCheckResult:
     two derivatives are analytic in phi; the third, read once at the node for
     the Taylor patch, is a fourth-order central difference of the analytic
     second derivative, accurate to ~1e-12 relative.  Potentials are compared
-    in sup norm over the probe grid; wavefunctions are grid-normalized first.
+    in sup norm over the probe grid; wavefunctions are grid-normalized first
+    and compared as built, with no sign aligned.
     """
     phi, eps, s = model.phi, model.epsilon, model.scale_hint
 
@@ -393,11 +385,6 @@ def cross_check_constructions(model: QesModel) -> CrossCheckResult:
     def normalized(vals):
         return vals / math.sqrt(float(vals @ vals))
 
-    def aligned_gap(va, vb):
-        a, b = normalized(va), normalized(vb)
-        if float(a @ b) < 0:
-            a = -a
-        return float(np.max(np.abs(a - b)))
-
-    p0, p1 = (aligned_gap(a, b) for a, b in zip(states_a, states_b))
+    p0, p1 = (float(np.max(np.abs(normalized(a) - normalized(b))))
+              for a, b in zip(states_a, states_b))
     return CrossCheckResult(float(v_diff), p0, p1, model_a)

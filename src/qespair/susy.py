@@ -15,7 +15,7 @@ Every model callable here takes an array and returns an array of its shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -68,15 +68,13 @@ class PotentialPair:
 
 @dataclass(frozen=True)
 class Eigenstate:
-    """An unnormalized bound state with its known energy.
-
-    psi_prime rides along when the construction knows the derivative
-    analytically; quadrature-based checks prefer it over finite differences.
-    """
+    """An unnormalized bound state with its known energy and its analytic
+    derivative psi_prime, which quadrature-based checks prefer over finite
+    differences."""
 
     energy: float
     psi: Callable
-    psi_prime: Optional[Callable] = None
+    psi_prime: Callable
 
 
 def pair_potentials(W: Superpotential) -> PotentialPair:

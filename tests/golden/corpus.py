@@ -63,14 +63,17 @@ COMMANDS = (
     # exit 2: refused syntax, the exponent cap checked before the operands,
     # an unknown symbol inside a call, a W1 that fails the sign probes, a
     # psi1 that is zero on every point, a W+ seed whose phi'^3 underflows and
-    # a W that overflows on the sign probes (the error line alone, no RuntimeWarning)
+    # a W that overflows on the sign probes (the error line alone, no RuntimeWarning),
+    # and a triple zero off the scan points on each route
     + [["verify", "--family", "custom", "--expr", "x % 2"],
        ["verify", "--family", "custom", "--expr", "y^65"],
        ["crosscheck", "--family", "custom", "--expr", "ln(y)", "--epsilon", "2"],
        ["verify", "--family", "custom", "--expr", "0.1*tanh(x)"],
        ["verify", "--family", "custom", "--expr", "1e150*x"],
        ["crosscheck", "--family", "custom", "--expr", "x*1e-150", "--epsilon", "1"],
-       ["verify", "--family", "sinh-wplus", "--A", "1e300"]]
+       ["verify", "--family", "sinh-wplus", "--A", "1e300"],
+       ["verify", "--family", "custom", "--expr", "(x - 0.013)^3"],
+       ["crosscheck", "--family", "custom", "--expr", "(x - 0.013)^3", "--epsilon", "1"]]
 )
 
 

@@ -345,6 +345,26 @@ class TestValidation:
         assert code == 2
         assert "multiple zeros" in err
 
+    @pytest.mark.parametrize("route,cause", [
+        ([], "non-transversal or wrongly oriented zero: W+'(x0)="),
+        (["--epsilon", "1.5"], "increasing"),
+    ], ids=["wplus", "phi"])
+    @pytest.mark.parametrize("expr", ["x^3", "(x - 0.013)^3", "(x - 0.013)^5"])
+    def test_multiple_zero_is_refused_on_both_routes(self, expr, route, cause, capsys):
+        # off the scan points the polished node's slope is tiny but positive
+        code, out, err = run_strict(["build", "--family", "custom", "--expr", expr, *route],
+                                    capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and cause in line
+
+    @pytest.mark.parametrize("route", [[], ["--epsilon", "1.5"]], ids=["wplus", "phi"])
+    @pytest.mark.parametrize("expr", ["x^3 + 1e-13*x", "(x - 0.013)^3 + 1e-30*x"])
+    def test_flat_simple_zero_is_built(self, expr, route, capsys):
+        code, out, err = run(["build", "--family", "custom", "--expr", expr, *route], capsys)
+        assert code == 0 and err == ""
+        assert out.startswith(f"family=custom expr='{expr}'")
+
     @pytest.mark.parametrize("sweep", ["b=1:2", "b=1:inf:2", "b=-inf:1:2", "b=nan:1:1",
                                        "b=1:inf:1", "b=-1e308:1e308:3"],
                              ids=["two-fields", "infinite-stop", "infinite-start", "nan-start",

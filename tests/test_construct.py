@@ -288,7 +288,8 @@ class TestBuildFromWplus:
             return call
 
         build_from_wplus(dataclasses.replace(gen, deriv1=counting("deriv1")))
-        # one read in find_single_zero's residual gate, one for eps and the quotient
+        # one read in find_single_zero's residual gate, one for eps, the
+        # multiplicity estimate and the quotient
         assert at_node["deriv1"] == 2
 
     def test_reversed_seed_fails_admissibility(self):
@@ -342,6 +343,16 @@ class TestBuildFromPhi:
         with pytest.raises(PhiNotMonotoneError, match="monotonically increasing"):
             build_from_phi(parse_generator("x - x^3/3"), 1.0)
 
+    def test_multiple_zero_between_probe_points_is_rejected(self):
+        # phi' > 0 on every probe point, but phi phi''/phi'^2 = 2/3 at the triple zero
+        phi = parse_generator("(x - 0.013)^3")
+        x0 = find_single_zero(phi)
+        with pytest.raises(PhiNotMonotoneError) as refused:
+            build_from_phi(phi, 1.0)
+        assert str(refused.value) == (f"(x - 0.013)^3 is not strictly increasing through its "
+                                      f"zero: derivative {float(phi.deriv1(x0))} at x0={x0} "
+                                      f"(multiple zero)")
+
     def test_nonpositive_gap_is_rejected(self):
         with pytest.raises(ParameterError, match="epsilon"):
             build_from_phi(cubic_phi(), 0.0)
@@ -381,6 +392,19 @@ class TestCrossCheck:
         with pytest.raises(QueryRangeError) as refused:
             cross_check_constructions(build_from_phi(cubic_phi(), 1.0))
         assert str(refused.value) == "v_minus is not finite on the probe grid [-8.0, 8.0]"
+
+    def test_states_are_compared_as_built(self, monkeypatch):
+        # a rebuild whose psi1 has the other sign is a discrepancy, not aligned away
+        def wplus_route(seed):
+            model = build_from_wplus(seed)
+            psi = model.psi1.psi
+            return dataclasses.replace(model, psi1=dataclasses.replace(
+                model.psi1, psi=lambda x: -psi(x)))
+
+        monkeypatch.setattr(construct, "build_from_wplus", wplus_route)
+        result = cross_check_constructions(build_from_phi(parse_generator("x + x^3/3"), 2.0))
+        assert result.psi0_sup < 1e-8
+        assert result.psi1_sup == pytest.approx(0.256, abs=1e-3)
 
 
 def test_probe_grid_is_centered_on_the_node():

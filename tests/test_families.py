@@ -158,6 +158,8 @@ class TestCes:
     def test_exact_ladder(self):
         assert ces_exact_spectrum(1.0, 1.0, 5) == [0.0, 1.5, 2.0, 2.5, 3.0, 3.5]
         assert ces_exact_spectrum(2.0, 1.0, 3) == [0.0, 0.75, 1.0, 1.25]
+        with pytest.raises(ParameterError, match=r"n_max must be >= 0 \(got -1\)"):
+            ces_exact_spectrum(1, 1, -1)
 
 
 class TestSinhWplus:

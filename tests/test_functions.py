@@ -202,6 +202,10 @@ class TestCumulativeIntegral:
     def test_explicit_panel_width(self):
         F = CumulativeIntegral(np.cos, 0.0, panel_width=0.5)
         assert F(7.0) == pytest.approx(math.sin(7.0), abs=1e-11)
+        with pytest.raises(ValueError, match="panel_width must be positive and finite"):
+            CumulativeIntegral(np.cos, 0.0, 0.0)
+        with pytest.raises(ValueError, match="base_point must be finite"):
+            CumulativeIntegral(np.cos, np.inf, 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),

@@ -105,6 +105,12 @@ def needle_well(x):
     return 0.5 * x * x - 1e4 * np.exp(-((x - 0.02) / 0.001) ** 2)
 
 
+def offset_well(x):
+    """Oscillator plus a narrow well off the origin."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * x * x - 100.0 * np.exp(-((x - 2.0) / 0.003) ** 2)
+
+
 def _oracle_cases():
     cases = [pytest.param(harmonic, 10.0, id="harmonic")]
     for name, spec in FAMILIES.items():
@@ -160,6 +166,23 @@ class TestCertifiedInverseIteration:
         assert sizes["dgttrf"].count(32001) == 4
         assert sizes["dgttrs"].count(32001) == 4
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_refined_levels_out_of_shift_order_are_sorted(self, k, caplog):
+        # Every 8th point lands in the well at x = 2, so its coarse shift is
+        # the lowest by far; it refines to a level above the oscillator's
+        # ground state, and the certified levels are put back in order.
+        grid = Grid(10.0, 4001)
+        coarse = verify._levels(offset_well(grid.points()[::verify.COARSEN]),
+                                verify.COARSEN * grid.h, 4)[0]
+        assert coarse == pytest.approx([-5.944, 0.531, 1.660, 2.905], abs=1e-3)
+        with caplog.at_level(logging.DEBUG, logger="qespair.verify"):
+            energies, vectors = eigensolve(offset_well, grid, k)
+        assert caplog.records == []  # certified: no fallback
+        assert energies == pytest.approx([0.49144, 1.42570, 2.30308, 3.30227][:k], abs=1e-5)
+        ref_energies, ref_vectors, norm = lapack_levels(offset_well, grid, k)
+        assert np.max(np.abs(energies - ref_energies)) <= np.finfo(float).eps * norm
+        assert np.min(np.abs(np.sum(vectors * ref_vectors, axis=0))) >= 1.0 - 1e-14
+
     @pytest.mark.parametrize("well,k,ground,reason", [
         (narrow_well, 1, -3.9617, "Sturm count"),
         (narrow_well, 3, -3.9617, "overlap"),
@@ -207,6 +230,7 @@ class TestCountNodes:
         rng = np.random.default_rng(3)
         noisy = np.exp(-self.xs ** 2) + 1e-13 * rng.standard_normal(self.xs.size)
         assert count_nodes(noisy) == 0
+        assert count_nodes([1.0, 1e-12, -1e-12]) == 0  # one entry above the floor
 
     def test_empty_input(self):
         assert count_nodes([]) == 0
