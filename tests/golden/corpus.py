@@ -3,7 +3,8 @@
 Each command runs in-process through ``qespair.cli.main``.  Its record holds
 the exit code, stderr, and stdout parsed by subcommand: the JSON report for
 ``verify``, the ``key=value`` fields and the PASS/FAIL verdict for
-``crosscheck``, and one row per level for ``spectrum``.
+``crosscheck``, one row per level for ``spectrum``, and the summary lines of
+``build`` as text.
 
     PYTHONPATH=src python tests/golden/corpus.py          # largest relative change per field
     PYTHONPATH=src python tests/golden/corpus.py --write  # rewrite reports.json
@@ -54,17 +55,25 @@ PHI_SEEDS = (
 )
 
 COMMANDS = (
-    [["verify", "--family", name] for name in FAMILIES]
+    [["build", "--family", name] for name in FAMILIES if name != "sinh-wplus"]
+    + [["build", "--family", "sinh-wplus", "--x0", "0.3"],
+       ["build", "--family", "custom", "--expr", "2*x + x^3"],
+       ["build", "--family", "custom", "--expr", "x + x^3/3", "--epsilon", "1.5"],
+       ["build", "--family", "poly-wplus", "--sweep", "b=0.5:1.5:3"]]
+    + [["verify", "--family", name] for name in FAMILIES]
     + [["verify", "--family", "custom", "--expr", e] for e in WPLUS_SEEDS]
     + [["verify", "--family", "custom", "--expr", e, "--epsilon", "1.5"] for e in PHI_SEEDS]
     + [["crosscheck", "--family", "custom", "--expr", e, "--epsilon", "2"] for e in PHI_SEEDS]
     + [["spectrum", "--family", "poly-phi-ces", "--n-max", "4"],
-       ["spectrum", "--family", "poly-wplus"]]
+       ["spectrum", "--family", "poly-wplus"],
+       ["spectrum", "--family", "custom", "--expr", "x + x^3/3", "--epsilon", "1.5",
+        "--n-max", "2"]]
     # exit 2: refused syntax, the exponent cap checked before the operands,
     # an unknown symbol inside a call, a W1 that fails the sign probes, a
     # psi1 that is zero on every point, a W+ seed whose phi'^3 underflows and
     # a W that overflows on the sign probes (the error line alone, no RuntimeWarning),
-    # and a triple zero off the scan points on each route
+    # a triple zero off the scan points on each route, and a zero the polish
+    # cannot resolve
     + [["verify", "--family", "custom", "--expr", "x % 2"],
        ["verify", "--family", "custom", "--expr", "y^65"],
        ["crosscheck", "--family", "custom", "--expr", "ln(y)", "--epsilon", "2"],
@@ -73,7 +82,8 @@ COMMANDS = (
        ["crosscheck", "--family", "custom", "--expr", "x*1e-150", "--epsilon", "1"],
        ["verify", "--family", "sinh-wplus", "--A", "1e300"],
        ["verify", "--family", "custom", "--expr", "(x - 0.013)^3"],
-       ["crosscheck", "--family", "custom", "--expr", "(x - 0.013)^3", "--epsilon", "1"]]
+       ["crosscheck", "--family", "custom", "--expr", "(x - 0.013)^3", "--epsilon", "1"],
+       ["verify", "--family", "custom", "--expr", "tanh(1e300*(x - 0.01))"]]
 )
 
 
@@ -84,6 +94,8 @@ def _number(text: str):
 def _parse(command: str, stdout: str):
     if not stdout:
         return None
+    if command == "build":
+        return stdout
     if command == "verify":
         return json.loads(stdout)
     if command == "crosscheck":
