@@ -45,7 +45,6 @@ __all__ = ["main", "entry", "build_parser"]
 
 CROSSCHECK_BUDGET = 1e-8
 MAX_SPECTRUM_DEPTH = 8
-_PARAM_FLAGS = ("a", "b", "epsilon", "A", "alpha", "x0")
 
 
 def _fmt(v) -> str:
@@ -104,7 +103,7 @@ def _load_config_file(path: str) -> ModelConfig:
         section = getattr(cfg, name) or {}
         if not isinstance(section, dict):
             raise ConfigError(f"config key {name!r} must be a JSON object (got {section!r})")
-        if name in _SECTION_KEYS:  # params depend on the family: _family_params checks them
+        if name in _SECTION_KEYS:  # params depend on the family: _family checks them
             _require_known(section, _SECTION_KEYS[name], f"{name}.")
         setattr(cfg, name, dict(section))
     return cfg
@@ -114,7 +113,7 @@ def _resolve_config(args) -> ModelConfig:
     cfg = _load_config_file(args.config) if args.config else ModelConfig()
     if args.family:
         cfg.family = args.family
-    for name in _PARAM_FLAGS:
+    for name in _param_names():
         value = getattr(args, name)
         if value is not None:
             cfg.params[name] = value
@@ -138,35 +137,45 @@ def _resolve_config(args) -> ModelConfig:
     return cfg
 
 
-def _family_params(cfg: ModelConfig):
-    """The registry entry for cfg.family (None for custom) and its parameters.
+def _param_names() -> list:
+    """Every family parameter, in registry order: one flag and one override each."""
+    return list(dict.fromkeys(key for spec in FAMILIES.values() for key in spec.defaults))
 
-    Registry families fill unset parameters from their defaults and refuse a
-    set expr or scale_hint, which only custom seeds read; those take epsilon.
+
+def _family(cfg: ModelConfig):
+    """(build, params, exact_spectrum) of cfg.family; build(params) makes the model.
+
+    A FAMILIES entry fills unset parameters from its defaults and refuses a
+    set expr or scale_hint.  custom parses expr at scale_hint when it builds,
+    and takes only epsilon, which selects the phi route.
     """
     spec = FAMILIES.get(cfg.family)
     if spec is None and cfg.family != "custom":
         raise ConfigError(
             f"unknown family {cfg.family!r} (choose from {sorted(FAMILIES)} or custom)")
-    allowed = list(spec.defaults) if spec is not None else ["epsilon"]
-    unset = {"expr": None, "scale_hint": 1.0} if spec is not None else {}
+    allowed = list(spec.defaults) if spec else ["epsilon"]
+    unset = {"expr": None, "scale_hint": 1.0} if spec else {}
     for key in [*cfg.params, *(k for k, v in unset.items() if getattr(cfg, k) != v)]:
         if key not in allowed:
             raise ConfigError(f"parameter {key!r} is not used by family {cfg.family!r} "
                               f"(expected {allowed})")
     params = {key: _number(value, f"params.{key}") for key, value in cfg.params.items()}
-    return spec, {**(spec.defaults if spec is not None else {}), **params}
+    if spec:
+        return spec.build, {**spec.defaults, **params}, spec.exact_spectrum
+
+    def build(params):
+        if not (cfg.expr and isinstance(cfg.expr, str)):
+            raise ConfigError("custom family requires --expr (a string)")
+        gen = parse_generator(cfg.expr, scale_hint=_number(cfg.scale_hint, "scale_hint"))
+        eps = params.get("epsilon")
+        return build_from_wplus(gen) if eps is None else build_from_phi(gen, eps)
+
+    return build, params, None
 
 
 def make_model(cfg: ModelConfig):
-    spec, params = _family_params(cfg)
-    if spec is not None:
-        return spec.build(params)
-    if not (cfg.expr and isinstance(cfg.expr, str)):
-        raise ConfigError("custom family requires --expr (a string)")
-    gen = parse_generator(cfg.expr, scale_hint=_number(cfg.scale_hint, "scale_hint"))
-    eps = params.get("epsilon")
-    return build_from_wplus(gen) if eps is None else build_from_phi(gen, eps)
+    build, params, _ = _family(cfg)
+    return build(params)
 
 
 def _settings(args, levels: int = 0):
@@ -175,7 +184,7 @@ def _settings(args, levels: int = 0):
     The box is a Grid when L is set, else N for _grid.  levels is how many
     eigenvalues the command solves for: eigensolve resolves N // 4 on N points."""
     cfg = _resolve_config(args)
-    _family_params(cfg)
+    _family(cfg)
     overrides = {}
     for key, value in cfg.tolerances.items():
         overrides[key] = _number(value, f"tolerances.{key}")
@@ -222,17 +231,10 @@ def _sweep_values(spec: str):
 
 
 def _summary_line(cfg: ModelConfig, model) -> str:
-    parts = [f"family={cfg.family}"]
-    spec, params = _family_params(cfg)
-    if spec is None:
-        params = {}
-        if cfg.expr:
-            parts.append(f"expr={cfg.expr!r}")
+    params = _family(cfg)[1]
+    parts = [f"family={cfg.family}"] + ([f"expr={cfg.expr!r}"] if cfg.expr else [])
     parts += [f"{k}={_fmt(v)}" for k, v in params.items()]
-    if "epsilon" not in params:
-        parts.append(f"epsilon={_fmt(model.epsilon)}")
-    if "x0" not in params:
-        parts.append(f"x0={_fmt(model.x0)}")
+    parts += [f"{k}={_fmt(getattr(model, k))}" for k in ("epsilon", "x0") if k not in params]
     parts += ["E0=0", f"E1={_fmt(model.epsilon)}"]
     return " ".join(parts)
 
@@ -305,14 +307,11 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(
             f"n-max {n_max} exceeds the supported excited-state depth ({MAX_SPECTRUM_DEPTH})")
     cfg, tol, box = _settings(args, n_max + 1)
-    spec, params = _family_params(cfg)
+    _, params, exact_spectrum = _family(cfg)
     model = make_model(cfg)
     energies, _ = eigensolve(model.potentials.v_minus, _grid(model, tol, box), n_max + 1)
-
-    if spec is not None and spec.exact_spectrum is not None:
-        analytic = spec.exact_spectrum(params, n_max)
-    else:
-        analytic = [0.0, model.epsilon][: n_max + 1]
+    analytic = (exact_spectrum(params, n_max) if exact_spectrum
+                else [0.0, model.epsilon][: n_max + 1])
 
     print("n,E_analytic,E_numeric,abs_delta")
     for n, e_num in enumerate(energies):
@@ -362,13 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     model = common.add_argument_group("model")
     model.add_argument("--family", choices=sorted(FAMILIES) + ["custom"],
                        help="built-in family or 'custom' with --expr")
-    model.add_argument("--a", type=float, help="family parameter a")
-    model.add_argument("--b", type=float, help="family parameter b")
-    model.add_argument("--epsilon", type=float,
-                       help="level gap (phi route); with custom --expr selects the phi route")
-    model.add_argument("--A", type=float, help="sinh family amplitude")
-    model.add_argument("--alpha", type=float, help="sinh family steepness")
-    model.add_argument("--x0", type=float, help="sinh family node location")
+    for name in _param_names():
+        takers = ", ".join(f for f, spec in FAMILIES.items() if name in spec.defaults)
+        note = "; with custom --expr selects the phi route" if name == "epsilon" else ""
+        model.add_argument(f"--{name}", type=float, help=f"parameter of {takers}{note}")
     model.add_argument("--expr", help="inline expression for W+ (or phi when --epsilon is given)")
     model.add_argument("--scale-hint", dest="scale_hint", type=float,
                        help="characteristic length for custom expressions (default 1)")

@@ -167,6 +167,22 @@ def _polish_zero(f: GeneratorFunction, a: float, b: float) -> float:
     return x
 
 
+def _node_slopes(f: GeneratorFunction, x0: float, name: str, error, zero_message):
+    """(f'(x0), f''(x0)) at the polished node x0, refused unless f rises there
+    through a simple zero.  Schroder's estimate mu = f f''/f'^2 at x0 is
+    (m - 1)/m at a zero of multiplicity m and (p + 1)/p at a pole of order p:
+    mu >= 1 is refused as a pole, f'(x0) <= 0 or |mu| >= 1/2 raises
+    error(zero_message(f'(x0))), and a NaN mu is no refusal."""
+    d1, d2 = float(f.deriv1(x0)), float(f.deriv2(x0))
+    mu = float(f.eval(x0)) / d1 * (d2 / d1) if d1 != 0.0 else math.nan
+    if mu >= 1.0:
+        raise error(f"{name} changes sign through a pole at x0={x0}, not a zero "
+                    f"(Schroder estimate {mu:.3g})")
+    if not d1 > 0 or abs(mu) >= 0.5:
+        raise error(zero_message(d1))
+    return d1, d2
+
+
 def _pair(gen: GeneratorFunction, w_of, wprime_of, order: int,
           x0: float) -> tuple[Superpotential, Superpotential]:
     """(W, W1), each passed through check_sign_condition: W is sign -1 and W1
@@ -199,14 +215,9 @@ def _pair(gen: GeneratorFunction, w_of, wprime_of, order: int,
 def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
     """Construct a model from the combined superpotential W_plus = W + W1."""
     x0 = find_single_zero(w_plus)
-    d1_0 = float(w_plus.deriv1(x0))
-    d2_0 = float(w_plus.deriv2(x0))
-    # The gap eps = W+'(x0)/2 must be > 0.  Schroder's estimate W+ W+''/W+'^2
-    # at x0 is (m - 1)/m for a zero of multiplicity m: it refuses a multiple
-    # zero that the scan did not land on.
-    if not d1_0 > 0 or abs(float(w_plus.eval(x0)) / d1_0 * (d2_0 / d1_0)) >= 0.5:
-        raise GeneratorAdmissibilityError(
-            f"non-transversal or wrongly oriented zero: W+'(x0)={d1_0} at x0={x0}")
+    d1_0, d2_0 = _node_slopes(  # the gap eps = W+'(x0)/2 must be > 0
+        w_plus, x0, w_plus.label or "W+", GeneratorAdmissibilityError,
+        lambda d1: f"non-transversal or wrongly oriented zero: W+'(x0)={d1} at x0={x0}")
     eps = 0.5 * d1_0
     s = w_plus.scale_hint
     delta = TAYLOR_WINDOW * s
@@ -282,13 +293,9 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
     require_increasing(probe_grid(0.0, s))
     x0 = find_single_zero(phi)
     require_increasing(probe_grid(x0, s))
-    p1_0 = float(phi.deriv1(x0))
-    # Schroder's estimate, as on the W_plus route: phi' > 0 on the probe grid
-    # does not rule out a multiple zero between its points
-    if not p1_0 > 0 or abs(float(phi.eval(x0)) / p1_0 * (float(phi.deriv2(x0)) / p1_0)) >= 0.5:
-        raise PhiNotMonotoneError(
-            f"{name} is not strictly increasing through its zero: "
-            f"derivative {p1_0} at x0={x0} (multiple zero)")
+    # phi' > 0 on the probe grid rules out neither a multiple zero nor a pole
+    _node_slopes(phi, x0, name, PhiNotMonotoneError, lambda d1: f"{name} is not strictly "
+                 f"increasing through its zero: derivative {d1} at x0={x0} (multiple zero)")
 
     # W and W1 are (W+ + sign*R)/2 with W+ = 2 eps phi/phi' and R = -phi''/phi',
     # from p0..p3 = phi and its first three derivatives at x

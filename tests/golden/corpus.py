@@ -72,8 +72,8 @@ COMMANDS = (
     # an unknown symbol inside a call, a W1 that fails the sign probes, a
     # psi1 that is zero on every point, a W+ seed whose phi'^3 underflows and
     # a W that overflows on the sign probes (the error line alone, no RuntimeWarning),
-    # a triple zero off the scan points on each route, and a zero the polish
-    # cannot resolve
+    # a triple zero off the scan points on each route, a zero the polish
+    # cannot resolve, and a sign change through a pole on each route
     + [["verify", "--family", "custom", "--expr", "x % 2"],
        ["verify", "--family", "custom", "--expr", "y^65"],
        ["crosscheck", "--family", "custom", "--expr", "ln(y)", "--epsilon", "2"],
@@ -83,7 +83,9 @@ COMMANDS = (
        ["verify", "--family", "sinh-wplus", "--A", "1e300"],
        ["verify", "--family", "custom", "--expr", "(x - 0.013)^3"],
        ["crosscheck", "--family", "custom", "--expr", "(x - 0.013)^3", "--epsilon", "1"],
-       ["verify", "--family", "custom", "--expr", "tanh(1e300*(x - 0.01))"]]
+       ["verify", "--family", "custom", "--expr", "tanh(1e300*(x - 0.01))"],
+       ["verify", "--family", "custom", "--expr", "-1/(x - 0.01)"],
+       ["crosscheck", "--family", "custom", "--expr", "-1/(x - 0.01)", "--epsilon", "1"]]
 )
 
 

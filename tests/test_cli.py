@@ -15,7 +15,9 @@ import pytest
 
 import qespair
 from qespair.cli import build_parser, main
-from qespair.families import FAMILIES, PolyWplusParams, poly_wplus_model
+from qespair.construct import build_from_wplus
+from qespair.expressions import parse_generator
+from qespair.families import FAMILIES, FamilySpec, PolyWplusParams, poly_wplus_model
 from qespair.verify import Tolerances, auto_grid, verify_model
 
 
@@ -714,6 +716,39 @@ def test_installed_console_script():
     proc = subprocess.run(["qes", *ENTRY_ARGS], capture_output=True, text=True,
                           timeout=120)
     assert_summary_run(proc)
+
+
+class TestRegistry:
+    @pytest.fixture
+    def cubic(self, monkeypatch):
+        """A family registered at run time: W+ = c*x + x^3, one parameter c."""
+        build_parser.cache_clear()  # the next parser is built from the patched registry
+        monkeypatch.setitem(FAMILIES, "cubic-c", FamilySpec(
+            {"c": 2.0}, lambda p: build_from_wplus(parse_generator(f"{p['c']!r}*x + x^3"))))
+        yield "cubic-c"
+        build_parser.cache_clear()
+
+    def test_parameter_flags_come_from_the_registry(self, cubic, capsys):
+        code, out, err = run(["build", "--family", cubic, "--c", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert out == f"family={cubic} c=3 epsilon=1.5 x0=0 E0=0 E1=1.5\n"
+        code, _, err = run(["build", "--family", cubic, "--a", "1"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: parameter 'a' is not used by family '{cubic}'")
+        code, out, _ = run(["spectrum", "--family", cubic, "--c", "3", "--n-max", "1"], capsys)
+        assert code == 0
+        assert [row.split(",")[1] for row in out.splitlines()] == ["E_analytic", "0", "1.5"]
+
+    def test_flag_help_names_the_families_that_take_it(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per flag
+        code, out, _ = run(["build", "--help"], capsys)
+        assert code == 0
+        helps = {words[0]: " ".join(words[2:]) for words in map(str.split, out.splitlines())
+                 if words and words[0] in ("--a", "--x0", "--epsilon")}
+        assert helps == {"--a": "parameter of poly-wplus, poly-phi, poly-phi-ces",
+                         "--x0": "parameter of sinh-wplus",
+                         "--epsilon": "parameter of poly-phi; with custom --expr selects "
+                                      "the phi route"}
 
 
 class TestParser:

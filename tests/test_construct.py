@@ -363,6 +363,24 @@ class TestBuildFromPhi:
         assert model.phi is phi
 
 
+@pytest.mark.parametrize("expr,build,error,estimate", [
+    ("-1/(x - 0.01)", build_from_wplus, GeneratorAdmissibilityError, "2"),
+    ("1/(x - 0.01)", build_from_wplus, GeneratorAdmissibilityError, "2"),
+    ("-1/(x - 0.01)^3", build_from_wplus, GeneratorAdmissibilityError, "1.33"),
+    ("-1/(x - 0.01)", lambda phi: build_from_phi(phi, 1.0), PhiNotMonotoneError, "2"),
+    ("-1/(x - 0.01)^3", lambda phi: build_from_phi(phi, 1.0), PhiNotMonotoneError, "1.33"),
+], ids=["wplus", "wplus-falling", "wplus-cubic-pole", "phi", "phi-cubic-pole"])
+def test_sign_change_through_a_pole_is_named(expr, build, error, estimate):
+    # Schroder's estimate f f''/f'^2 is (p + 1)/p at a pole of order p, not
+    # the (m - 1)/m < 1 of a zero of multiplicity m
+    gen = parse_generator(expr)
+    x0 = find_single_zero(gen)
+    with pytest.raises(error) as refused:
+        build(gen)
+    assert str(refused.value) == (f"{expr} changes sign through a pole at x0={x0}, "
+                                  f"not a zero (Schroder estimate {estimate})")
+
+
 class TestCrossCheck:
     def test_routes_agree_for_the_cubic_shape(self):
         result = cross_check_constructions(build_from_phi(cubic_phi(), 1.0))
