@@ -41,9 +41,10 @@ __all__ = [
 VERIFY_LEVELS = 4  # lowest levels of V_minus that verify_model solves for
 AUTO_GRID_CAP = 50  # auto_grid's widest box, in scale hints
 
-# Shifted inverse iteration in eigensolve (see _certified_levels).
-COARSEN = 8               # the shifts are the levels on every COARSEN-th grid point
-MIN_COARSE_POINTS = 201   # fewest coarse points the shifts are taken from
+# Shifted inverse iteration in eigensolve (see _certified_levels and _guess).
+COARSEN = 8               # a grid is steered by the levels on its every COARSEN-th point
+MIN_COARSE_POINTS = 201   # fewest coarse points a grid is steered from
+STEER_TOL = 1e-10         # the innermost coarse grid bisects to STEER_TOL ||T||_1
 INVERSE_SOLVES = 3        # most normalized solves per factorization of T - sigma I
 MAX_REFACTORS = 3         # refactorizations at the Rayleigh quotient
 RESIDUAL_GATE = 4.0       # accept ||T x - lam x|| <= RESIDUAL_GATE sqrt(N) eps ||T||_1
@@ -140,56 +141,63 @@ def _tridiagonal(pot: np.ndarray, h: float):
     return 1.0 / h2 + pot, np.full(pot.size - 1, -0.5 / h2)
 
 
+def _one_norm(diag: np.ndarray, off: float) -> float:
+    """||T||_1 of the stencil with this diagonal and constant off-diagonal."""
+    return max(float(np.max(np.abs(diag[1:-1]))) + 2.0 * abs(off),
+               abs(float(diag[0])) + abs(off), abs(float(diag[-1])) + abs(off))
+
+
+def _apply(diag: np.ndarray, off: float, x: np.ndarray) -> np.ndarray:
+    """T x for the stencil with this diagonal and constant off-diagonal."""
+    tx = diag * x
+    tx[1:] += off * x[:-1]
+    tx[:-1] += off * x[1:]
+    return tx
+
+
+def _eligible(n: int, k: int) -> bool:
+    """Whether a grid of n points is steered by its every COARSEN-th point."""
+    return (n - 1) % COARSEN == 0 and (n - 1) // COARSEN + 1 >= max(MIN_COARSE_POINTS, 4 * k + 1)
+
+
 def _uncertified(reason: str, n: int, k: int) -> None:
     _log.debug("eigensolve certificate failed (%s) at N=%d, k=%d; using bisection",
                reason, n, k)
     return None
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm or residual is uncertified
-def _certified_levels(pot: np.ndarray, h: float, k: int):
-    """Lowest k eigenpairs by shifted inverse iteration, or None when they
-    cannot be certified.
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm or solve is uncertified
+def _certified_levels(pot: np.ndarray, h: float, shifts, starts: np.ndarray):
+    """The lowest k eigenpairs of the stencil on pot, refined by shifted
+    inverse iteration from any steering, or None when they cannot be
+    certified (logged at DEBUG on qespair.verify, naming the reason).
 
-    The shifts and start vectors are the lowest k eigenpairs of the box on
-    every COARSEN-th point (from _levels), the vectors linearly interpolated
-    onto the fine grid.  Per shift, T - sigma I is factored once and up to
+    The steering is one shift per level and the (N, k) array starts of
+    start vectors, one column per shift, which is overwritten with the
+    eigenvectors.  Per shift, T - sigma I is factored once and up to
     INVERSE_SOLVES normalized solves run, stopping at the first whose
     Rayleigh quotient lam has residual r = ||T x - lam x|| <= RESIDUAL_GATE
     sqrt(N) eps ||T||_1; if none does, sigma moves to lam and the matrix is
     factored again (at most MAX_REFACTORS times).  Each interval
     lam +- (r + ROUNDOFF_SLACK eps ||T||_1) holds an eigenvalue; when the
     intervals are disjoint and one Sturm count finds exactly k eigenvalues
-    up to the top of the highest, they hold the k lowest, one each.
+    up to the top of the highest, they hold the k lowest, one each.  So the
+    steering decides only how fast this succeeds, never what it returns.
     """
-    n = pot.size
-    try:
-        shifts, coarse = _levels(pot[::COARSEN], COARSEN * h, k)
-    except np.linalg.LinAlgError:
-        return _uncertified("coarse solve", n, k)
+    n, k = starts.shape
     diag, sub = _tridiagonal(pot, h)
     off = float(sub[0])
 
     ulp = np.finfo(float).eps
-    norm = max(float(np.max(np.abs(diag[1:-1]))) + 2.0 * abs(off),
-               abs(float(diag[0])) + abs(off), abs(float(diag[-1])) + abs(off))
+    norm = _one_norm(diag, off)
     if not math.isfinite(norm):
-        return _uncertified("residual gate", n, k)
+        return _uncertified("non-finite norm", n, k)
     gate = RESIDUAL_GATE * math.sqrt(n) * ulp * norm
     slack = ROUNDOFF_SLACK * ulp * norm
-    fine = np.arange(n) / COARSEN
-    coarse_points = np.arange(coarse.shape[0])
-
-    def apply_t(x):
-        tx = diag * x
-        tx[1:] += off * x[:-1]
-        tx[:-1] += off * x[1:]
-        return tx
 
     levels, radii = np.empty(k), np.empty(k)
-    states = np.empty((n, k), order="F")
     for j, sigma in enumerate(shifts):
-        x = np.interp(fine, coarse_points, coarse[:, j])
+        x = starts[:, j]
         for solve in range((1 + MAX_REFACTORS) * INVERSE_SOLVES):
             if solve % INVERSE_SOLVES == 0:  # the shift, then lam after INVERSE_SOLVES misses
                 dl, d, du, du2, ipiv, info = dgttrf(sub, diag - sigma, sub)
@@ -197,17 +205,17 @@ def _certified_levels(pot: np.ndarray, h: float, k: int):
                     return _uncertified("zero pivot", n, k)
             x, _ = dgttrs(dl, d, du, du2, ipiv, x)
             size = float(np.linalg.norm(x))
-            if not 0.0 < size < math.inf:
-                return _uncertified("residual gate", n, k)
+            if not 0.0 < size < math.inf:  # zero only from a zero start
+                return _uncertified("non-finite solve", n, k)
             x = x / size
-            tx = apply_t(x)
+            tx = _apply(diag, off, x)
             sigma = float(x @ tx)
             r = float(np.linalg.norm(tx - sigma * x))
             if r <= gate:
                 break
         else:
             return _uncertified("residual gate", n, k)
-        levels[j], radii[j], states[:, j] = sigma, r + slack, x
+        levels[j], radii[j], starts[:, j] = sigma, r + slack, x
 
     order = np.argsort(levels)
     lam, rho = levels[order], radii[order]
@@ -223,17 +231,59 @@ def _certified_levels(pot: np.ndarray, h: float, k: int):
     if info != 0 or count != k:
         return _uncertified("Sturm count", n, k)
     if np.any(order != np.arange(k)):  # copies only when refinement reordered the levels
-        states[:] = states[:, order]
-    return lam, states
+        starts[:] = starts[:, order]
+    return lam, starts
 
 
-def _levels(pot: np.ndarray, h: float, k: int):
-    """Lowest k eigenpairs of the stencil on pot, as eigensolve returns them:
-    certified on an eligible grid, else (or when the certificate fails) by
-    LAPACK's bisection (stebz) plus inverse iteration (stein)."""
-    n = pot.size
-    if (n - 1) % COARSEN == 0 and (n - 1) // COARSEN + 1 >= max(MIN_COARSE_POINTS, 4 * k + 1):
-        certified = _certified_levels(pot, h, k)
+def _steer(pot: np.ndarray, h: float, k: int):
+    """Shifts and start vectors for the lowest k levels of the stencil on pot:
+    _guess's eigenpairs of the box on every COARSEN-th point, the vectors
+    linearly interpolated onto pot's grid (coarse point i is fine point
+    COARSEN i)."""
+    shifts, coarse = _guess(pot[::COARSEN], COARSEN * h, k)
+    fine, coarse_points = np.arange(pot.size) / COARSEN, np.arange(coarse.shape[0])
+    starts = np.empty((pot.size, k), order="F")
+    for j in range(k):
+        starts[:, j] = np.interp(fine, coarse_points, coarse[:, j])
+    return shifts, starts
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite guess fails the certificate
+def _guess(pot: np.ndarray, h: float, k: int):
+    """Uncertified lowest k eigenpairs of the stencil on pot, which only steer
+    a finer grid.  An eligible grid refines _steer's from its own coarse grid
+    with one factorization of T - sigma I and one normalized solve per level,
+    the level being the Rayleigh quotient; there is no residual gate, overlap
+    test or Sturm count.  Otherwise LAPACK's bisection stops at an absolute
+    width of STEER_TOL ||T||_1, and inverse iteration (stein) gives the
+    vectors; a LinAlgError from it propagates."""
+    diag, sub = _tridiagonal(pot, h)
+    off = float(sub[0])
+    if not _eligible(pot.size, k):
+        return eigh_tridiagonal(diag, sub, select="i", select_range=(0, k - 1),
+                                tol=STEER_TOL * _one_norm(diag, off))
+    shifts, x = _steer(pot, h, k)
+    for j, sigma in enumerate(shifts):
+        dl, d, du, du2, ipiv, _ = dgttrf(sub, diag - sigma, sub)
+        y, _ = dgttrs(dl, d, du, du2, ipiv, x[:, j])
+        y /= np.linalg.norm(y)
+        x[:, j] = y
+        shifts[j] = y @ _apply(diag, off, y)
+    return shifts, x
+
+
+def _levels(pot: np.ndarray, h: float, k: int, steering=None):
+    """Lowest k eigenpairs of the stencil on pot, certified from steering
+    (a (shifts, starts) pair, by default _steer's on an eligible grid), else
+    (or when the certificate fails) by LAPACK's full-precision bisection
+    (stebz) plus inverse iteration (stein)."""
+    if steering is None and _eligible(pot.size, k):
+        try:
+            steering = _steer(pot, h, k)
+        except np.linalg.LinAlgError:
+            _uncertified("coarse solve", pot.size, k)
+    if steering is not None:
+        certified = _certified_levels(pot, h, *steering)
         if certified is not None:
             return certified
     return eigh_tridiagonal(*_tridiagonal(pot, h), select="i", select_range=(0, k - 1))
@@ -245,16 +295,19 @@ def eigensolve(v: Callable, grid: Grid, k: int):
     Always returns both: (energies ascending, eigenvectors as columns,
     l2-normalized); a caller that needs only the energies drops the second.
     On an eligible grid ((N - 1) a multiple of COARSEN, at least
-    max(MIN_COARSE_POINTS, 4k + 1) coarse points) shifted inverse iteration
-    refines the eigenpairs of the box on every COARSEN-th point, which the
-    same rule solves, from their interpolated vectors, stopping each level
-    at the first solve that passes its residual gate; that residual bound,
-    disjoint error intervals and one Sturm count certify the k lowest
-    eigenpairs, each energy within its residual plus roundoff.  Otherwise,
-    or when the certificate fails (logged at DEBUG on qespair.verify),
-    LAPACK's bisection plus inverse iteration solves the grid.  Either way
-    the result is accurate to the roundoff of the discrete operator; what
-    remains is the O(h^2) discretization error of the stencil itself.
+    max(MIN_COARSE_POINTS, 4k + 1) coarse points) the box on every
+    COARSEN-th point steers shifted inverse iteration (_steer): its levels
+    are the shifts and its vectors, interpolated, the start vectors.  Those
+    coarse levels are only guesses (_guess: one solve per level from a
+    coarser grid, LAPACK's bisection to STEER_TOL ||T||_1 on the
+    innermost), and the fine grid's own residual bounds, disjoint error
+    intervals and one Sturm count certify the k lowest eigenpairs, each
+    energy within its residual plus roundoff (_certified_levels).
+    Otherwise, or when the certificate fails (logged at DEBUG on
+    qespair.verify), LAPACK's full-precision bisection plus inverse
+    iteration solves the grid.  Either way the result is accurate to the
+    roundoff of the discrete operator; what remains is the O(h^2)
+    discretization error of the stencil itself.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -346,6 +399,14 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     quantity read on a point set comes from the checked sampler, which names
     one that is not finite (or a state that is zero on every point) and the
     point set in a QueryRangeError.
+
+    V_minus is solved by eigensolve.  Its partner V_plus = (W^2 + W')/2,
+    sampled with W in one (W, W') call, is steered by it: V_minus's levels
+    1-3 are the shifts, and A psi = psi' + W psi (psi' by np.gradient)
+    carries their vectors to the start vectors, since A H_minus = H_plus A.
+    V_plus's levels pass the same certificate as eigensolve's, or come from
+    LAPACK's full-precision bisection when it fails, so check (v) never
+    compares V_minus's levels with themselves.
     """
     tol = tolerances or Tolerances()
     if grid is None:
@@ -356,7 +417,15 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     tol_e = tol.energy_effective(eps)
 
     e_minus, vec_minus = eigensolve(model.potentials.v_minus, grid, VERIFY_LEVELS)
-    e_plus, _ = eigensolve(model.potentials.v_plus, grid, 3)
+
+    def partner(p):  # V_plus = (W^2 + W')/2 and W, from one (W, W') sample
+        w, wprime = model.W.w_and_wprime(p)
+        return 0.5 * (w * w + wprime), w
+
+    v_plus, w = _sample_finite(partner, x, grid.where, "potential", "W")
+    starts = np.gradient(vec_minus[:, 1:], grid.h, axis=0)
+    starts += w[:, None] * vec_minus[:, 1:]
+    e_plus, _ = _levels(v_plus, grid.h, VERIFY_LEVELS - 1, (e_minus[1:], starts))
 
     energy_errors = [abs(float(e_minus[0])), abs(float(e_minus[1]) - eps)]
     check_energy = all(err < tol_e for err in energy_errors)

@@ -71,7 +71,8 @@ def test_traced_verify_reaches_every_patched_boundary(tracer, args):
 
 
 def test_traced_grid_ladder_counts_each_public_eigensolve_once(tracer):
-    # the library calls of the grid-refine workload: two solves in verify_model, one 9-level
+    # the library calls of the grid-refine workload: verify_model solves V_minus
+    # through eigensolve and its partner V_plus from those levels, then one 9-level
     from qespair import families, verify
 
     model = families.poly_phi_ces_model(1.0, 1.0)
@@ -79,4 +80,4 @@ def test_traced_grid_ladder_counts_each_public_eigensolve_once(tracer):
     assert verify.verify_model(model, grid).passed
     levels, _ = verify.eigensolve(model.potentials.v_minus, grid, 9)
     assert len(levels) == 9
-    assert tracer.counts["verify.eigensolve_points"] == 3 * 16001
+    assert tracer.counts["verify.eigensolve_points"] == 2 * 16001

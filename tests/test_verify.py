@@ -140,31 +140,36 @@ class TestCertifiedInverseIteration:
 
     @pytest.mark.parametrize("n", [4001, 32001])
     def test_lapack_bisects_only_the_innermost_grid(self, n, monkeypatch):
-        # 32001 points take their shifts from 4001, certified in turn from 501
-        sizes = []
+        # 32001 points are steered by 4001, steered in turn by 501, which
+        # LAPACK bisects only to the steering tolerance
+        calls = []
 
-        def recording(diag, *args, **kwargs):
-            sizes.append(diag.size)
-            return eigh_tridiagonal(diag, *args, **kwargs)
+        def recording(diag, off, *args, **kwargs):
+            calls.append((diag.size, kwargs.get("tol")))
+            return eigh_tridiagonal(diag, off, *args, **kwargs)
 
         monkeypatch.setattr(verify, "eigh_tridiagonal", recording)
         eigensolve(harmonic, Grid(10.0, n), 4)
-        assert sizes == [501]
+        h = 20.0 / 500  # ||T||_1 on 501 points: the largest row sum, V(10 - h) + 2/h^2
+        norm = harmonic(10.0 - h) + 2.0 / h**2
+        assert calls == [(501, pytest.approx(verify.STEER_TOL * norm, rel=1e-15))]
 
     @pytest.mark.parametrize("v, L", _oracle_cases())
     def test_fine_grid_takes_one_factorization_and_one_solve_per_level(self, v, L, monkeypatch):
-        # each 32001-point level starts from its 4001-point eigenvector,
-        # interpolated, and passes the residual gate after its first solve
-        sizes = {"dgttrf": [], "dgttrs": []}
+        # each 32001-point level starts from its 4001-point vector, interpolated,
+        # and passes the residual gate after its first solve; the 4001-point
+        # grid refines the 501-point guesses with one solve per level and no
+        # certificate, so the one Sturm count is the fine grid's
+        sizes = {"dgttrf": [], "dgttrs": [], "dstebz": []}
         for name, seen in sizes.items():
-            def recording(dl, d, *args, lapack=getattr(verify, name), seen=seen):
+            def recording(first, d, *args, lapack=getattr(verify, name), seen=seen):
                 seen.append(d.size)
-                return lapack(dl, d, *args)
+                return lapack(first, d, *args)
 
             monkeypatch.setattr(verify, name, recording)
         eigensolve(v, Grid(L, 32001), 4)
-        assert sizes["dgttrf"].count(32001) == 4
-        assert sizes["dgttrs"].count(32001) == 4
+        assert sorted(sizes["dgttrf"]) == sorted(sizes["dgttrs"]) == [4001] * 4 + [32001] * 4
+        assert sizes["dstebz"] == [32000]  # the off-diagonal of the fine grid
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_refined_levels_out_of_shift_order_are_sorted(self, k, caplog):
@@ -202,6 +207,56 @@ class TestCertifiedInverseIteration:
             (logging.DEBUG, f"eigensolve certificate failed ({reason}) at N=4001, k={k}; "
                             f"using bisection")]
 
+    @pytest.mark.parametrize("steering", [
+        lambda levels, starts: (levels[[1, 0, 2]], starts),
+        lambda levels, starts: (levels[[2, 1, 0]], starts[:, [1, 2, 0]]),
+    ], ids=["shifts-permuted", "shifts-and-starts-permuted"])
+    def test_permuted_steering_still_gives_the_lowest_levels(self, steering, caplog):
+        # a shift next to another level refines onto that level: the
+        # certificate sorts what it refined, so a permutation does not fail it
+        grid = Grid(10.0, 4001)
+        ref_energies, ref_vectors, norm = lapack_levels(harmonic, grid, 3)
+        with caplog.at_level(logging.DEBUG, logger="qespair.verify"):
+            energies, vectors = verify._levels(harmonic(grid.points()), grid.h, 3,
+                                               steering(ref_energies, ref_vectors.copy(order="F")))
+        assert caplog.records == []
+        assert np.max(np.abs(energies - ref_energies)) <= np.finfo(float).eps * norm
+        assert np.min(np.abs(np.sum(vectors * ref_vectors, axis=0))) >= 1.0 - 1e-14
+
+    @pytest.mark.parametrize("steering", [
+        lambda levels, starts: (levels[[0, 0, 2]], starts[:, [0, 0, 2]]),
+        lambda levels, starts: (levels[[0, 2, 2]], starts),
+    ], ids=["shifts-and-starts-duplicated", "shifts-duplicated"])
+    def test_duplicated_steering_falls_back_to_lapack(self, steering, caplog):
+        # two shifts refine onto one level: its intervals overlap
+        grid = Grid(10.0, 4001)
+        ref_energies, ref_vectors, _ = lapack_levels(harmonic, grid, 3)
+        with caplog.at_level(logging.DEBUG, logger="qespair.verify"):
+            energies, vectors = verify._levels(harmonic(grid.points()), grid.h, 3,
+                                               steering(ref_energies, ref_vectors.copy(order="F")))
+        assert np.array_equal(energies, ref_energies)
+        assert np.array_equal(vectors, ref_vectors)
+        assert [r.getMessage() for r in caplog.records] == [
+            "eigensolve certificate failed (overlap) at N=4001, k=3; using bisection"]
+
+    @pytest.mark.parametrize("reason,pot,h,shift,start", [
+        # 1/h^2 = 1e308: the stencil's norm overflows.  No public call gets
+        # here: LAPACK's bisection already fails on the innermost coarse grid
+        # (and on V_minus, before its partner) when 1/h^2 there nears 1e153
+        # (`qes verify --family poly-wplus --grid-l 1e-74`), while a norm
+        # of finite samples overflows only past 1e292.
+        ("non-finite norm", np.zeros(3), 1e-154, 0.0, 1.0),
+        # 1 is an exact eigenvalue of [[1, -1/2, 0], [-1/2, 1, -1/2], [0, -1/2, 1]]
+        ("zero pivot", np.zeros(3), 1.0, 1.0, 1.0),
+        ("non-finite solve", np.zeros(3), 1.0, 0.2, np.nan),
+    ], ids=["non-finite-norm", "zero-pivot", "non-finite-solve"])
+    def test_each_uncertified_return_names_its_reason(self, reason, pot, h, shift, start,
+                                                      caplog):
+        with caplog.at_level(logging.DEBUG, logger="qespair.verify"):
+            assert verify._certified_levels(pot, h, [shift], np.full((3, 1), start)) is None
+        assert [r.getMessage() for r in caplog.records] == [
+            f"eigensolve certificate failed ({reason}) at N=3, k=1; using bisection"]
+
     @pytest.mark.parametrize("n", [4003, 101], ids=["n-1-not-a-multiple-of-8", "coarse-grid-too-small"])
     def test_ineligible_grids_keep_lapack_bits(self, n, caplog):
         grid = Grid(10.0, n)
@@ -211,6 +266,36 @@ class TestCertifiedInverseIteration:
         assert np.array_equal(energies, ref_energies)
         assert np.array_equal(vectors, ref_vectors)
         assert caplog.records == []  # not a certificate failure
+
+
+class TestPartnerSteering:
+    @pytest.mark.parametrize("bump", [0.0, 0.3, 3.0])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_v_plus_levels_are_its_own_whatever_steers_them(self, family, bump, caplog):
+        # W' + 2 bump exp(-(x - 0.3)^2) moves V_plus alone by bump exp(-(x - 0.3)^2):
+        # model.potentials, which V_minus is solved from, keep the model's own W.
+        # So V_minus's levels 1-3 and A psi_minus are wrong guesses for V_plus.
+        spec = FAMILIES[family]
+        model = spec.build(dict(spec.defaults))
+        joint = model.W.w_and_wprime
+
+        def bumped(x):
+            w, wprime = joint(x)
+            return w, wprime + 2.0 * bump * np.exp(-(x - 0.3) ** 2)
+
+        grid = auto_grid(model)
+        with caplog.at_level(logging.DEBUG, logger="qespair.verify"):
+            report = verify_model(dataclasses.replace(
+                model, W=dataclasses.replace(model.W, w_and_wprime=bumped)), grid)
+        w, wprime = bumped(grid.points())
+        ref_energies, _, norm = lapack_levels(lambda x: 0.5 * (w * w + wprime), grid, 3)
+        assert np.max(np.abs(report.eigenvalues_plus - ref_energies)) <= np.finfo(float).eps * norm
+        guesses_off = np.max(np.abs(report.eigenvalues[1:] - ref_energies))
+        assert guesses_off < 1e-5 if bump == 0.0 else guesses_off > 0.05
+        # a small bump is still certified from the wrong guesses; a large one
+        # fails the certificate and is logged as any other failure is
+        assert [r.getMessage() for r in caplog.records] == ([] if bump < 1.0 else [
+            f"eigensolve certificate failed (overlap) at N={grid.N}, k=3; using bisection"])
 
 
 class TestCountNodes:
