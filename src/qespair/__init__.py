@@ -20,9 +20,9 @@ from .families import (FAMILIES, PolyPhiParams, PolyWplusParams, SinhWplusParams
                        poly_wplus_model, sinh_wplus_generator, sinh_wplus_model)
 from .functions import CumulativeIntegral, GeneratorFunction, cumulative_integral
 from .susy import (Eigenstate, PotentialPair, Superpotential, check_sign_condition,
-                   make_superpotential, pair_potentials, riccati_residual)
+                   pair_potentials, riccati_residual, zero_mode)
 from .verify import (Grid, SpectralReport, Tolerances, auto_grid, count_nodes,
-                     eigensolve, rayleigh_quotient, verify_model)
+                     eigensolve, verify_model)
 
 __version__ = "0.1.0"
 
@@ -35,8 +35,7 @@ __all__ = [
     "Superpotential", "Tolerances", "auto_grid", "build_from_phi", "build_from_wplus",
     "ces_epsilon", "ces_exact_spectrum", "check_sign_condition", "count_nodes",
     "cross_check_constructions", "cumulative_integral", "eigensolve", "find_single_zero",
-    "make_superpotential", "pair_potentials", "parse_generator", "poly_phi_ces_model",
-    "poly_phi_generator", "poly_phi_model", "poly_wplus_generator", "poly_wplus_model",
-    "rayleigh_quotient", "riccati_residual", "sinh_wplus_generator", "sinh_wplus_model",
-    "verify_model",
+    "pair_potentials", "parse_generator", "poly_phi_ces_model", "poly_phi_generator",
+    "poly_phi_model", "poly_wplus_generator", "poly_wplus_model", "riccati_residual",
+    "sinh_wplus_generator", "sinh_wplus_model", "verify_model", "zero_mode",
 ]

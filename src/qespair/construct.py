@@ -28,7 +28,7 @@ import numpy as np
 from .errors import GeneratorAdmissibilityError, ParameterError, PhiNotMonotoneError
 from .functions import GeneratorFunction, _sample_finite, _sample_states, cumulative_integral
 from .susy import (Eigenstate, PotentialPair, Superpotential, check_sign_condition,
-                   make_superpotential, pair_potentials)
+                   pair_potentials, zero_mode)
 
 __all__ = [
     "QesModel",
@@ -54,6 +54,14 @@ TAYLOR_WINDOW = 1e-3
 _XTOL = 1e-15
 _RTOL = 8.9e-16
 _POLISH_ITERATIONS = 100
+
+
+def _at(fn, x: float) -> float:
+    """fn, an array function, at the one point x, read as a 1-element array
+    under np.errstate as the zero scan reads its grid: a value that is not
+    finite comes back as it is, for the caller to name."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return float(fn(np.array([x]))[0])
 
 
 def probe_grid(x0: float, scale_hint: float) -> np.ndarray:
@@ -90,7 +98,6 @@ class QesModel:
         On the phi route psi1 = phi * psi0 reuses the one psi0 sample and its
         quadrature; its bits are those of psi1.psi(x).
         """
-        x = np.asarray(x, dtype=float)
         psi0 = self.psi0.psi(x)
         if self.phi is None:
             return psi0, self.psi1.psi(x)
@@ -128,8 +135,8 @@ def find_single_zero(f: GeneratorFunction) -> float:
 
     i = crossings[0]
     x0 = float(xs[i]) if signs[i] == 0 else _polish_zero(f, float(xs[i]), float(xs[i + 1]))
-    residual = abs(float(f.eval(x0)))
-    local = max(1.0, abs(float(f.deriv1(x0))) * f.scale_hint)
+    residual = abs(_at(f.eval, x0))
+    local = max(1.0, abs(_at(f.deriv1, x0)) * f.scale_hint)
     if residual > 1e-12 * local:
         raise GeneratorAdmissibilityError(
             f"zero polish failed for {name}: |f(x0)|={residual} at x0={x0}")
@@ -147,10 +154,10 @@ def _polish_zero(f: GeneratorFunction, a: float, b: float) -> float:
     returned as it is when the cap is reached: find_single_zero's residual
     gate judges it.
     """
-    lo, hi = (a, b) if float(f.eval(a)) < 0 else (b, a)  # f(lo) < 0 < f(hi)
+    lo, hi = (a, b) if _at(f.eval, a) < 0 else (b, a)  # f(lo) < 0 < f(hi)
     x = 0.5 * (a + b)
     for _ in range(_POLISH_ITERATIONS):
-        fx = float(f.eval(x))
+        fx = _at(f.eval, x)
         if fx == 0.0:
             return x
         if fx < 0:
@@ -159,7 +166,7 @@ def _polish_zero(f: GeneratorFunction, a: float, b: float) -> float:
             hi = x
         if abs(hi - lo) < _XTOL + _RTOL * abs(x):
             return x
-        slope = float(f.deriv1(x))
+        slope = _at(f.deriv1, x)
         x_new = x - fx / slope if slope != 0.0 else math.nan
         if x_new == x:
             return x
@@ -169,12 +176,15 @@ def _polish_zero(f: GeneratorFunction, a: float, b: float) -> float:
 
 def _node_slopes(f: GeneratorFunction, x0: float, name: str, error, zero_message):
     """(f'(x0), f''(x0)) at the polished node x0, refused unless f rises there
-    through a simple zero.  Schroder's estimate mu = f f''/f'^2 at x0 is
-    (m - 1)/m at a zero of multiplicity m and (p + 1)/p at a pole of order p:
-    mu >= 1 is refused as a pole, f'(x0) <= 0 or |mu| >= 1/2 raises
-    error(zero_message(f'(x0))), and a NaN mu is no refusal."""
-    d1, d2 = float(f.deriv1(x0)), float(f.deriv2(x0))
-    mu = float(f.eval(x0)) / d1 * (d2 / d1) if d1 != 0.0 else math.nan
+    through a simple zero.  An f'(x0) that is not finite is refused as such.
+    Schroder's estimate mu = f f''/f'^2 at x0 is (m - 1)/m at a zero of
+    multiplicity m and (p + 1)/p at a pole of order p: mu >= 1 is refused as
+    a pole, f'(x0) <= 0 or |mu| >= 1/2 raises error(zero_message(f'(x0))),
+    and a NaN mu is no refusal."""
+    d1, d2 = _at(f.deriv1, x0), _at(f.deriv2, x0)
+    if not math.isfinite(d1):
+        raise error(f"{name}'s derivative is not finite at x0={x0}")
+    mu = _at(f.eval, x0) / d1 * (d2 / d1) if d1 != 0.0 else math.nan
     if mu >= 1.0:
         raise error(f"{name} changes sign through a pole at x0={x0}, not a zero "
                     f"(Schroder estimate {mu:.3g})")
@@ -183,12 +193,12 @@ def _node_slopes(f: GeneratorFunction, x0: float, name: str, error, zero_message
     return d1, d2
 
 
-def _pair(gen: GeneratorFunction, w_of, wprime_of, order: int,
-          x0: float) -> tuple[Superpotential, Superpotential]:
+def _pair(gen: GeneratorFunction, w_of, wprime_of,
+          order: int) -> tuple[Superpotential, Superpotential]:
     """(W, W1), each passed through check_sign_condition: W is sign -1 and W1
     sign +1 of w_of(sign, x, g_0..g_{order-1}) with its slope
     wprime_of(sign, x, g_0..g_order), where g_k is the k-th derivative of gen
-    at x.
+    at the array x.
 
     w and the joint (w, w') sampler each evaluate every order of gen they need
     once.
@@ -197,15 +207,13 @@ def _pair(gen: GeneratorFunction, w_of, wprime_of, order: int,
 
     def checked(sign, label):
         def w(x):
-            x = np.asarray(x, dtype=float)
             return w_of(sign, x, *(f(x) for f in orders[:-1]))
 
         def w_and_wprime(x):
-            x = np.asarray(x, dtype=float)
             g = [f(x) for f in orders]
             return w_of(sign, x, *g[:-1]), wprime_of(sign, x, *g)
 
-        W = make_superpotential(w, w_and_wprime, x0, gen.scale_hint, label)
+        W = Superpotential(w, w_and_wprime, gen.scale_hint, label)
         check_sign_condition(W)
         return W
 
@@ -222,7 +230,7 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
     s = w_plus.scale_hint
     delta = TAYLOR_WINDOW * s
 
-    d3_0 = float(w_plus.deriv3(x0))
+    d3_0 = _at(w_plus.deriv3, x0)
     # Taylor form of the quotient across its removable singularity.
     c0 = d2_0 / d1_0
     c1 = (d3_0 - d2_0 * c0) / (2.0 * d1_0)
@@ -240,23 +248,11 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
         r1 = np.where(near, c1, d2 / wp - (d1 - d1_0) * d1 / (wp * wp))
         return 0.5 * (d1 + sign * r1)
 
-    W, W1 = _pair(w_plus, w_of, wprime_of, 2, x0)
-    integral0, integral1 = W.integral, W1.integral
-
-    def psi0_fn(x):  # the zero mode exp(-int W), normalizable by the sign condition
-        return np.exp(-integral0(x))
-
-    def psi0_prime(x):
-        return -W.w(x) * np.exp(-integral0(x))
-
-    def psi1_fn(x):
-        return w_plus.eval(x) * np.exp(-integral1(x))
-
-    def psi1_prime(x):
-        return (w_plus.deriv1(x) - w_plus.eval(x) * W1.w(x)) * np.exp(-integral1(x))
-
-    psi0 = Eigenstate(0.0, psi0_fn, psi0_prime)
-    psi1 = Eigenstate(eps, psi1_fn, psi1_prime)
+    W, W1 = _pair(w_plus, w_of, wprime_of, 2)
+    # psi0 = exp(-int W), normalizable by the sign condition; psi1 = W+ exp(-int W1)
+    mode1 = zero_mode(W1, x0)
+    psi0 = Eigenstate(0.0, zero_mode(W, x0))
+    psi1 = Eigenstate(eps, lambda x: w_plus.eval(x) * mode1(x))
     return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1, s)
 
 
@@ -283,6 +279,10 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
     def require_increasing(points):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             slopes = np.asarray(phi.deriv1(points), dtype=float)
+        finite = np.isfinite(slopes)
+        if not np.all(finite):
+            raise PhiNotMonotoneError(f"{name}'s derivative is not finite at "
+                                      f"x={float(points[np.argmin(finite)])}")
         if not np.all(slopes > 0):
             worst = float(points[np.argmin(slopes)])
             raise PhiNotMonotoneError(
@@ -306,7 +306,7 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
         num = eps * p0 - sign * (0.5 * p2)
         return (eps * p1 - sign * (0.5 * p3)) / p1 - num * p2 / (p1 * p1)
 
-    W, W1 = _pair(phi, w_of, wprime_of, 3, x0)
+    W, W1 = _pair(phi, w_of, wprime_of, 3)
 
     shape_integral = cumulative_integral(lambda x: phi.eval(x) / phi.deriv1(x),
                                          x0, scale_hint=s)
@@ -314,18 +314,8 @@ def build_from_phi(phi: GeneratorFunction, epsilon: float) -> QesModel:
     def psi0_fn(x):
         return phi.deriv1(x) ** (-0.5) * np.exp(-eps * shape_integral(x))
 
-    def psi0_prime(x):
-        return -W.w(x) * psi0_fn(x)
-
-    def psi1_fn(x):
-        return phi.eval(x) * psi0_fn(x)
-
-    def psi1_prime(x):
-        p0 = psi0_fn(x)
-        return phi.deriv1(x) * p0 + phi.eval(x) * (-W.w(x) * p0)
-
-    psi0 = Eigenstate(0.0, psi0_fn, psi0_prime)
-    psi1 = Eigenstate(eps, psi1_fn, psi1_prime)
+    psi0 = Eigenstate(0.0, psi0_fn)
+    psi1 = Eigenstate(eps, lambda x: phi.eval(x) * psi0_fn(x))
     return QesModel(W, W1, eps, x0, pair_potentials(W), psi0, psi1, s, phi=phi)
 
 
@@ -336,7 +326,6 @@ class CrossCheckResult:
     v_minus_sup: float
     psi0_sup: float
     psi1_sup: float
-    model_wplus: QesModel
 
     @property
     def max_discrepancy(self) -> float:
@@ -377,9 +366,7 @@ def cross_check_constructions(model: QesModel) -> CrossCheckResult:
         return (-wp2(x + 2 * h) + 8.0 * wp2(x + h)
                 - 8.0 * wp2(x - h) + wp2(x - 2 * h)) / (12.0 * h)
 
-    # a value that is not finite is for the zero scan and the samplers to name
-    quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    seed = GeneratorFunction(*map(quiet, (wp, wp1, wp2, wp3)), s, "2*eps*phi/phi'")
+    seed = GeneratorFunction(wp, wp1, wp2, wp3, s, "2*eps*phi/phi'")
     model_a = build_from_wplus(seed)
 
     xs = model.probe_points()
@@ -394,4 +381,4 @@ def cross_check_constructions(model: QesModel) -> CrossCheckResult:
 
     p0, p1 = (float(np.max(np.abs(normalized(a) - normalized(b))))
               for a, b in zip(states_a, states_b))
-    return CrossCheckResult(float(v_diff), p0, p1, model_a)
+    return CrossCheckResult(float(v_diff), p0, p1)

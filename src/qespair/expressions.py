@@ -43,11 +43,15 @@ def _conv(a, b, k):
 
 
 def _quotient(num, q, den):
-    """Next coefficient of q = n/den, from coefficient len(q) of n and q's earlier ones."""
+    """Next coefficient of q = n/den, from coefficient len(q) of n and q's earlier ones.
+
+    np.divide, so that a constant divisor of zero gives inf or NaN, as an
+    array one does, instead of raising ZeroDivisionError.
+    """
     m = len(q)
     for j in range(max(0, m - len(den) + 1), m):
         num = num - q[j] * den[m - j]
-    return num / den[0]
+    return np.divide(num, den[0])
 
 
 def _step(u, r, k):
@@ -237,12 +241,10 @@ def parse_generator(text: str, scale_hint: float = 1.0) -> GeneratorFunction:
 
     def order(k: int):
         def field(x):
-            x = np.asarray(x, dtype=float)
             c = evaluate(Jet.variable(x, k)).c
             out = c[k] if k < len(c) else 0.0
             out = out * math.factorial(k) if k > 1 else out
-            return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy() \
-                if np.ndim(out) == 0 and x.ndim > 0 else out
+            return np.full(np.shape(x), out, dtype=float) if np.ndim(out) == 0 else out
         return field
 
     return GeneratorFunction(order(0), order(1), order(2), order(3), float(scale_hint), text)

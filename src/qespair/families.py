@@ -201,10 +201,10 @@ def sinh_wplus_generator(params: SinhWplusParams) -> GeneratorFunction:
     A, al, x0 = params.A, params.alpha, params.x0
     shift = A * math.sinh(al * x0)
     return GeneratorFunction(
-        lambda x: A * np.sinh(al * np.asarray(x, dtype=float)) - shift,
-        lambda x: A * al * np.cosh(al * np.asarray(x, dtype=float)),
-        lambda x: A * al * al * np.sinh(al * np.asarray(x, dtype=float)),
-        lambda x: A * al ** 3 * np.cosh(al * np.asarray(x, dtype=float)),
+        lambda x: A * np.sinh(al * x) - shift,
+        lambda x: A * al * np.cosh(al * x),
+        lambda x: A * al * al * np.sinh(al * x),
+        lambda x: A * al ** 3 * np.cosh(al * x),
         float(params.scale_hint),
         f"A*(sinh(alpha*x)-sinh(alpha*x0)) (A={params.A}, alpha={params.alpha}, x0={params.x0})",
     )

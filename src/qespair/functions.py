@@ -3,8 +3,8 @@
 Everything downstream consumes functions through two small types:
 
 * :class:`GeneratorFunction` bundles a callable with its first three analytic
-  derivatives and a characteristic length scale.  Callables must accept either
-  a float or a numpy array and act elementwise.  Seeds supply exact
+  derivatives and a characteristic length scale.  Callables take a numpy
+  array and act elementwise; a single point is a 1-element array.  Seeds supply exact
   derivatives: Horner for polynomials, closed forms for sinh, Taylor
   recurrences for parsed expressions.  The one central difference is the
   third derivative of the W_plus seed that cross_check_constructions builds.
@@ -58,8 +58,8 @@ _MAX_PANELS = 2 ** 16
 class GeneratorFunction:
     """A smooth real function of one variable with analytic derivatives.
 
-    ``eval`` and ``deriv1``..``deriv3`` take a float or ndarray and return the
-    same shape.  ``scale_hint`` is the characteristic length over which the
+    ``eval`` and ``deriv1``..``deriv3`` take an ndarray and return one of
+    the same shape.  ``scale_hint`` is the characteristic length over which the
     function varies; probe grids, quadrature panels and finite-difference
     steps are all expressed in units of it.
     """

@@ -20,13 +20,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import InadmissibleModelError
-from .functions import CumulativeIntegral, _sample_finite, cumulative_integral
+from .functions import _sample_finite, cumulative_integral
 
 __all__ = [
     "Superpotential",
     "PotentialPair",
     "Eigenstate",
-    "make_superpotential",
+    "zero_mode",
     "pair_potentials",
     "check_sign_condition",
     "riccati_residual",
@@ -35,27 +35,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Superpotential:
-    """W(x) with its derivative and an anchored primitive int W dx.
+    """W(x) and its joint sampler x -> (W(x), W'(x)), both on arrays.
 
-    w_and_wprime samples (W, W') together on an array, from shared generator
-    samples where the seed has them; pair_potentials and riccati_residual read it.
+    w_and_wprime samples (W, W') together, from shared generator samples
+    where the seed has them; pair_potentials and riccati_residual read it.
+    scale_hint is the length the sign probes and zero_mode's panels use.
     """
 
     w: Callable
     w_and_wprime: Callable
-    integral: CumulativeIntegral
     scale_hint: float = 1.0
     label: str = "W"
-
-
-def make_superpotential(w, w_and_wprime, base_point=0.0, scale_hint=1.0,
-                        label="W") -> Superpotential:
-    """Assemble a Superpotential from the array functions w and w_and_wprime,
-    the joint sampler x -> (W(x), W'(x)), anchoring the primitive of w at
-    base_point."""
-    return Superpotential(w, w_and_wprime,
-                          cumulative_integral(w, base_point, scale_hint=scale_hint),
-                          float(scale_hint), label)
 
 
 @dataclass(frozen=True)
@@ -68,13 +58,10 @@ class PotentialPair:
 
 @dataclass(frozen=True)
 class Eigenstate:
-    """An unnormalized bound state with its known energy and its analytic
-    derivative psi_prime, which quadrature-based checks prefer over finite
-    differences."""
+    """An unnormalized bound state psi, an array function, at its known energy."""
 
     energy: float
     psi: Callable
-    psi_prime: Callable
 
 
 def pair_potentials(W: Superpotential) -> PotentialPair:
@@ -92,6 +79,16 @@ def pair_potentials(W: Superpotential) -> PotentialPair:
         return 0.5 * (w * w + wprime)
 
     return PotentialPair(v_minus, v_plus)
+
+
+def zero_mode(W: Superpotential, x0: float) -> Callable:
+    """x -> exp(-int_x0^x W), the zero mode of H_minus that W factorizes.
+
+    The primitive is one memoizing CumulativeIntegral anchored at x0, with
+    panels of W.scale_hint/8.
+    """
+    integral = cumulative_integral(W.w, x0, scale_hint=W.scale_hint)
+    return lambda x: np.exp(-integral(x))
 
 
 def check_sign_condition(W: Superpotential) -> None:

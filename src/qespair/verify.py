@@ -33,7 +33,6 @@ __all__ = [
     "auto_grid",
     "eigensolve",
     "count_nodes",
-    "rayleigh_quotient",
     "verify_model",
 ]
 
@@ -346,18 +345,6 @@ def count_nodes(values) -> int:
         return 0
     signs = np.sign(survivors)
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
-
-
-def rayleigh_quotient(psi: Callable, psi_prime: Callable, v: Callable, grid: Grid) -> float:
-    """<psi|H|psi>/<psi|psi> via the integrated-by-parts kinetic term.
-
-    Using the analytic derivative keeps the estimate at quadrature accuracy
-    instead of stencil accuracy; boundary terms vanish for decayed states.
-    """
-    p, dp, vx = _sample_finite(lambda x: (psi(x), psi_prime(x), v(x)), grid.points(),
-                               grid.where, "psi", "psi_prime", "potential")
-    num = _simpson(0.5 * dp * dp + vx * p * p, grid.h)
-    return num / _simpson(p * p, grid.h)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ PHI_SEEDS = (
     "2*x + sin(x)",
     "x + 0.3*x^3 + 0.5*tanh(2*x - 1)",
 )
+REMOVABLE = "x + 0.01*(((x - 1) * (x - pi)) / x^-1)"
 
 COMMANDS = (
     [["build", "--family", name] for name in FAMILIES if name != "sinh-wplus"]
@@ -86,6 +87,12 @@ COMMANDS = (
        ["verify", "--family", "custom", "--expr", "tanh(1e300*(x - 0.01))"],
        ["verify", "--family", "custom", "--expr", "-1/(x - 0.01)"],
        ["crosscheck", "--family", "custom", "--expr", "-1/(x - 0.01)", "--epsilon", "1"]]
+    # read at the node without a RuntimeWarning: a removable singularity on
+    # the scan point x = 0, whose derivative there is NaN, on each route
+    # (exit 2), and a constant that overflows to inf (exit 0)
+    + [["verify", "--family", "custom", "--expr", REMOVABLE],
+       ["verify", "--family", "custom", "--expr", REMOVABLE, "--epsilon", "1"],
+       ["verify", "--family", "custom", "--expr", "x + 0.3*(cosh(1e3) + cosh(x))^-1"]]
 )
 
 

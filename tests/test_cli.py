@@ -207,7 +207,7 @@ class TestValidation:
         (["build", "--family", "custom", "--expr", "x + 1e308*x^3"],
          "is not finite everywhere on the scan grid"),
         (["build", "--family", "custom", "--expr", "1/x", "--epsilon", "1"],
-         "1/x is not monotonically increasing"),
+         "1/x's derivative is not finite at x=0.0"),
         (["verify", "--family", "poly-wplus", "--tol-e", "-1"], "tolerances.energy"),
         (["build", "--family", "poly-wplus", "--sweep", "a=1:2:0"],
          "sweep needs at least one step"),

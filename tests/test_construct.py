@@ -17,7 +17,7 @@ from qespair.expressions import parse_generator
 from qespair.families import FAMILIES
 from qespair.functions import GeneratorFunction
 from qespair.susy import check_sign_condition, riccati_residual
-from qespair.verify import Grid, auto_grid, rayleigh_quotient, verify_model
+from qespair.verify import Grid, auto_grid, verify_model
 
 
 def cubic_phi():
@@ -115,28 +115,6 @@ def test_joint_states_equal_each_state_bitwise(name):
             alone = (np.concatenate([state.psi(xs[i:i + 1]) for i in range(xs.size)])
                      if single else state.psi(xs))
             assert np.array_equal(joint, alone), name
-
-
-@pytest.mark.parametrize("name", sorted(STATE_MODELS))
-def test_analytic_slope_matches_a_central_difference(name):
-    model = STATE_MODELS[name]()
-    grid = auto_grid(model)
-    x = np.linspace(-0.6 * grid.L, 0.6 * grid.L, 801)
-    step = 1e-5 * model.scale_hint
-    for state in (model.psi0, model.psi1):
-        slope = state.psi_prime(x)
-        central = (state.psi(x + step) - state.psi(x - step)) / (2.0 * step)
-        assert np.max(np.abs(slope - central)) <= 1e-8 * np.max(np.abs(slope)), name
-
-
-@pytest.mark.parametrize("name", sorted(STATE_MODELS))
-def test_rayleigh_quotient_of_each_state_is_its_energy(name):
-    # the quotient reads the analytic slope, so it is exact to quadrature accuracy
-    model = STATE_MODELS[name]()
-    grid = auto_grid(model)
-    for state, energy in ((model.psi0, 0.0), (model.psi1, model.epsilon)):
-        quotient = rayleigh_quotient(state.psi, state.psi_prime, model.potentials.v_minus, grid)
-        assert abs(quotient - energy) <= 1e-12 * max(1.0, model.epsilon), name
 
 
 def test_verify_samples_the_shape_quadrature_once_per_point_set(monkeypatch):
@@ -282,8 +260,8 @@ class TestBuildFromWplus:
         def counting(order):
             fn = getattr(gen, order)
 
-            def call(x):
-                at_node[order] += np.ndim(x) == 0 and float(x) == x0
+            def call(x):  # the node is read as a 1-element array
+                at_node[order] += np.shape(x) == (1,) and x[0] == x0
                 return fn(x)
             return call
 
@@ -385,7 +363,6 @@ class TestCrossCheck:
     def test_routes_agree_for_the_cubic_shape(self):
         result = cross_check_constructions(build_from_phi(cubic_phi(), 1.0))
         assert result.max_discrepancy < 1e-8
-        assert result.model_wplus.phi is None
 
     def test_routes_agree_for_a_parsed_shape(self):
         result = cross_check_constructions(build_from_phi(parse_generator("x + x^3/3"), 2.0))

@@ -87,6 +87,12 @@ def test_negative_integer_power():
     assert g.deriv1(2.0) == pytest.approx(-0.25, rel=1e-13)
 
 
+def test_constant_divisor_of_zero_is_inf_not_an_exception():
+    # (1 - 1)^-1 divides two Python floats; it must give inf as an array divisor does
+    with np.errstate(divide="ignore"):
+        assert np.all(np.isposinf(parse_generator("x + (1 - 1)^-1").eval(np.linspace(-1, 1, 3))))
+
+
 def test_caret_and_double_star_are_equivalent():
     a = parse_generator("x^3 + 1")
     b = parse_generator("x**3 + 1")

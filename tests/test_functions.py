@@ -77,12 +77,12 @@ class TestCumulativeIntegral:
             for n in (57, 4001):
                 xs = np.linspace(-9.3, 11.7, n)
                 assert np.array_equal(F(xs), one_by_one(F, xs))
-        # constructed models: the primitive of W and states built on W1's,
+        # constructed models: states built on the primitives of W and W1,
         # then a phi-route family whose psi0 takes phi'**-0.5
         model = build_from_wplus(parse_generator("sinh(x - 0.4)"))
         s = model.scale_hint
         xs = np.linspace(model.x0 - 6.0 * s, model.x0 + 6.0 * s, 97)
-        for fn in (model.W.integral, model.psi1.psi):
+        for fn in (model.psi0.psi, model.psi1.psi):
             assert np.array_equal(fn(xs), one_by_one(fn, xs))
         model = poly_phi_model(PolyPhiParams(1.0, 1.0, 1.0))
         s = model.scale_hint

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from qespair.errors import InadmissibleModelError
-from qespair.susy import (check_sign_condition, make_superpotential, pair_potentials,
-                          riccati_residual)
+from qespair.susy import (Superpotential, check_sign_condition, pair_potentials,
+                          riccati_residual, zero_mode)
 
 
 def linear_superpotential(slope=1.0):
     # W = slope*x factorizes the harmonic oscillator
-    return make_superpotential(
-        lambda x: slope * np.asarray(x, dtype=float),
-        lambda x: (slope * x, slope * np.ones_like(x)))
+    return Superpotential(lambda x: slope * x, lambda x: (slope * x, slope * np.ones_like(x)))
 
 
 class TestPairPotentials:
@@ -23,9 +21,7 @@ class TestPairPotentials:
         assert np.max(np.abs(pair.v_plus(xs) - 0.5 * (xs * xs + 1))) < 1e-14
 
     def test_partner_difference_is_the_derivative(self):
-        W = make_superpotential(
-            lambda x: np.tanh(np.asarray(x, dtype=float)),
-            lambda x: (np.tanh(x), 1.0 / np.cosh(x) ** 2))
+        W = Superpotential(np.tanh, lambda x: (np.tanh(x), 1.0 / np.cosh(x) ** 2))
         pair = pair_potentials(W)
         xs = np.linspace(-4, 4, 17)
         assert np.max(np.abs(pair.v_plus(xs) - pair.v_minus(xs) - W.w_and_wprime(xs)[1])) < 1e-14
@@ -57,6 +53,7 @@ class TestRiccatiResidual:
 
 
 def test_superpotential_integral_matches_closed_form():
-    W = linear_superpotential()
+    # exp(-int_0^x W) of W = x is the oscillator ground state exp(-x^2/2)
+    psi = zero_mode(linear_superpotential(), 0.0)
     xs = np.linspace(-6, 6, 25)
-    assert np.max(np.abs(W.integral(xs) - 0.5 * xs * xs)) < 1e-11
+    assert np.max(np.abs(psi(xs) - np.exp(-0.5 * xs * xs))) < 1e-11

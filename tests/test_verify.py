@@ -19,7 +19,7 @@ from qespair.errors import QueryRangeError
 from qespair.expressions import parse_generator
 from qespair.families import FAMILIES, PolyWplusParams, poly_phi_ces_model, poly_wplus_model
 from qespair.verify import (Grid, Tolerances, _simpson, auto_grid, count_nodes, eigensolve,
-                            rayleigh_quotient, verify_model)
+                            verify_model)
 
 
 def harmonic(x):
@@ -322,12 +322,6 @@ class TestCountNodes:
 
 
 class TestQuadratureHelpers:
-    def test_rayleigh_quotient_of_the_oscillator_ground_state(self):
-        grid = Grid(10.0, 2001)
-        psi = lambda x: np.exp(-0.5 * x * x)
-        dpsi = lambda x: -x * np.exp(-0.5 * x * x)
-        assert rayleigh_quotient(psi, dpsi, harmonic, grid) == pytest.approx(0.5, abs=1e-9)
-
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 1000).flatmap(
                lambda m: arrays(np.float64, 2 * m + 1,
