@@ -17,7 +17,7 @@ from qespair.expressions import parse_generator
 from qespair.families import FAMILIES
 from qespair.functions import GeneratorFunction
 from qespair.susy import check_sign_condition, riccati_residual
-from qespair.verify import Grid, auto_grid, verify_model
+from qespair.verify import Grid, _simpson, auto_grid, verify_model
 
 
 def cubic_phi():
@@ -115,6 +115,30 @@ def test_joint_states_equal_each_state_bitwise(name):
             alone = (np.concatenate([state.psi(xs[i:i + 1]) for i in range(xs.size)])
                      if single else state.psi(xs))
             assert np.array_equal(joint, alone), name
+
+
+@pytest.mark.parametrize("name", sorted(STATE_MODELS))
+def test_ground_state_slope_is_minus_w_times_the_state(name):
+    # psi0 is the zero mode of W on both routes, so psi0' = -W psi0
+    model = STATE_MODELS[name]()
+    grid = auto_grid(model)
+    x = np.linspace(-0.6 * grid.L, 0.6 * grid.L, 801)
+    step = 1e-5 * model.scale_hint
+    slope = -model.W.w(x) * model.psi0.psi(x)
+    central = (model.psi0.psi(x + step) - model.psi0.psi(x - step)) / (2.0 * step)
+    assert np.max(np.abs(slope - central)) <= 1e-8 * np.max(np.abs(slope)), name
+
+
+@pytest.mark.parametrize("name", sorted(STATE_MODELS))
+def test_rayleigh_quotient_of_the_ground_state_is_zero(name):
+    # <psi0|H-|psi0> with the kinetic term integrated by parts and psi0' = -W psi0
+    model = STATE_MODELS[name]()
+    grid = auto_grid(model)
+    x = grid.points()
+    p = model.psi0.psi(x)
+    dp = -model.W.w(x) * p
+    num = _simpson(0.5 * dp * dp + model.potentials.v_minus(x) * p * p, grid.h)
+    assert abs(num / _simpson(p * p, grid.h)) <= 1e-12 * max(1.0, model.epsilon), name
 
 
 def test_verify_samples_the_shape_quadrature_once_per_point_set(monkeypatch):

@@ -322,6 +322,13 @@ class TestCountNodes:
 
 
 class TestQuadratureHelpers:
+    def test_simpson_gives_the_oscillator_ground_state_energy(self):
+        grid = Grid(10.0, 2001)
+        x = grid.points()
+        p, dp = np.exp(-0.5 * x * x), -x * np.exp(-0.5 * x * x)
+        num = _simpson(0.5 * dp * dp + harmonic(x) * p * p, grid.h)
+        assert num / _simpson(p * p, grid.h) == pytest.approx(0.5, abs=1e-9)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 1000).flatmap(
                lambda m: arrays(np.float64, 2 * m + 1,
