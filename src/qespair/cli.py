@@ -111,25 +111,15 @@ def _load_config_file(path: str) -> ModelConfig:
 
 def _resolve_config(args) -> ModelConfig:
     cfg = _load_config_file(args.config) if args.config else ModelConfig()
-    if args.family:
-        cfg.family = args.family
-    for name in _param_names():
-        value = getattr(args, name)
+    # each flag's config key as (section, key); section None is a top-level field
+    keys = {"family": (None, "family"), **{k: ("params", k) for k in _param_names()},
+            "expr": (None, "expr"), "scale_hint": (None, "scale_hint"), "grid_l": ("grid", "L"),
+            "grid_n": ("grid", "N"), "tol_e": ("tolerances", "energy"),
+            "out": ("output", "path"), "emit": ("output", "path")}
+    for flag, (section, key) in keys.items():
+        value = getattr(args, flag, None)  # out and emit belong to one command each
         if value is not None:
-            cfg.params[name] = value
-    if args.expr is not None:
-        cfg.expr = args.expr
-    if args.scale_hint is not None:
-        cfg.scale_hint = args.scale_hint
-    if args.grid_l is not None:
-        cfg.grid["L"] = args.grid_l
-    if args.grid_n is not None:
-        cfg.grid["N"] = args.grid_n
-    if args.tol_e is not None:
-        cfg.tolerances["energy"] = args.tol_e
-    out_flag = getattr(args, "out", None) or getattr(args, "emit", None)
-    if out_flag:
-        cfg.output["path"] = out_flag
+            (getattr(cfg, section) if section else vars(cfg))[key] = value
     if not isinstance(cfg.family, str):
         raise ConfigError(f"config value family must be a string (got {cfg.family!r})")
     if not isinstance(cfg.output.get("path", ""), str):
@@ -179,10 +169,11 @@ def make_model(cfg: ModelConfig):
 
 
 def _settings(args, levels: int = 0):
-    """A command's config, Tolerances and box, each setting checked before any model.
+    """A command's config, Tolerances and grid_of, each setting checked before any model.
 
-    The box is a Grid when L is set, else N for _grid.  levels is how many
-    eigenvalues the command solves for: eigensolve resolves N // 4 on N points."""
+    grid_of(model) is the configured Grid when L is set, else auto_grid of N
+    points at the configured boundary decay.  levels is how many eigenvalues
+    the command solves for: eigensolve resolves N // 4 on N points."""
     cfg = _resolve_config(args)
     _family(cfg)
     overrides = {}
@@ -200,18 +191,14 @@ def _settings(args, levels: int = 0):
     if levels > n // 4:
         raise ConfigError(f"grid N (--grid-n) = {n} resolves at most {n // 4} "
                           f"levels; {levels} are needed (use N >= {4 * levels + 1})")
-    if "L" not in cfg.grid:
-        return cfg, tol, n
+    if "L" not in cfg.grid:  # auto_grid is looked up per call, so a patched name is used
+        return cfg, tol, lambda model: auto_grid(model, tol.boundary_decay, n)
     L = _number(cfg.grid["L"], "grid.L")
     try:
-        return cfg, tol, Grid(L, n)
+        grid = Grid(L, n)
     except ValueError as exc:  # N is checked above, so the box is at fault
         raise ConfigError(f"grid L (--grid-l) = {L!r} is refused: {exc}") from exc
-
-
-def _grid(model, tol: Tolerances, box) -> Grid:
-    """The configured Grid, or the auto grid of N points at the configured boundary decay."""
-    return box if isinstance(box, Grid) else auto_grid(model, tol.boundary_decay, box)
+    return cfg, tol, lambda model: grid
 
 
 def _sweep_values(spec: str):
@@ -269,23 +256,23 @@ def _sweep_points(cfg: ModelConfig, args):
 
 
 def cmd_build(args) -> int:
-    cfg, tol, box = _settings(args)
+    cfg, _, grid_of = _settings(args)
     for sub, point in _sweep_points(cfg, args):
         model = make_model(sub)
         path = sub.output.get("path")
         if path:
-            _emit_table(model, _grid(model, tol, box),
+            _emit_table(model, grid_of(model),
                         path if point is None else f"{path}.{point}.csv")
         print(_summary_line(sub, model))
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg, tol, box = _settings(args, VERIFY_LEVELS)
+    cfg, tol, grid_of = _settings(args, VERIFY_LEVELS)
     payloads = []
     for sub, _ in _sweep_points(cfg, args):
         model = make_model(sub)
-        report = verify_model(model, _grid(model, tol, box), tol)
+        report = verify_model(model, grid_of(model), tol)
         payloads.append({"config": dataclasses.asdict(sub), **report.to_dict()})
     _write_json(payloads if args.sweep else payloads[0], cfg.output.get("path"))
     return 0 if all(p["passed"] for p in payloads) else 1
@@ -306,10 +293,10 @@ def cmd_spectrum(args) -> int:
     if n_max > MAX_SPECTRUM_DEPTH:
         raise ConfigError(
             f"n-max {n_max} exceeds the supported excited-state depth ({MAX_SPECTRUM_DEPTH})")
-    cfg, tol, box = _settings(args, n_max + 1)
+    cfg, _, grid_of = _settings(args, n_max + 1)
     _, params, exact_spectrum = _family(cfg)
     model = make_model(cfg)
-    energies, _ = eigensolve(model.potentials.v_minus, _grid(model, tol, box), n_max + 1)
+    energies, _ = eigensolve(model.potentials.v_minus, grid_of(model), n_max + 1)
     analytic = (exact_spectrum(params, n_max) if exact_spectrum
                 else [0.0, model.epsilon][: n_max + 1])
 

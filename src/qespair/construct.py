@@ -176,14 +176,15 @@ def _polish_zero(f: GeneratorFunction, a: float, b: float) -> float:
 
 def _node_slopes(f: GeneratorFunction, x0: float, name: str, error, zero_message):
     """(f'(x0), f''(x0)) at the polished node x0, refused unless f rises there
-    through a simple zero.  An f'(x0) that is not finite is refused as such.
-    Schroder's estimate mu = f f''/f'^2 at x0 is (m - 1)/m at a zero of
-    multiplicity m and (p + 1)/p at a pole of order p: mu >= 1 is refused as
-    a pole, f'(x0) <= 0 or |mu| >= 1/2 raises error(zero_message(f'(x0))),
+    through a simple zero.  An f'(x0) or f''(x0) that is not finite is refused
+    as such.  Schroder's estimate mu = f f''/f'^2 at x0 is (m - 1)/m at a zero
+    of multiplicity m and (p + 1)/p at a pole of order p: mu >= 1 is refused
+    as a pole, f'(x0) <= 0 or |mu| >= 1/2 raises error(zero_message(f'(x0))),
     and a NaN mu is no refusal."""
     d1, d2 = _at(f.deriv1, x0), _at(f.deriv2, x0)
-    if not math.isfinite(d1):
-        raise error(f"{name}'s derivative is not finite at x0={x0}")
+    for value, noun in ((d1, "derivative"), (d2, "second derivative")):
+        if not math.isfinite(value):
+            raise error(f"{name}'s {noun} is not finite at x0={x0}")
     mu = _at(f.eval, x0) / d1 * (d2 / d1) if d1 != 0.0 else math.nan
     if mu >= 1.0:
         raise error(f"{name} changes sign through a pole at x0={x0}, not a zero "
@@ -223,8 +224,9 @@ def _pair(gen: GeneratorFunction, w_of, wprime_of,
 def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
     """Construct a model from the combined superpotential W_plus = W + W1."""
     x0 = find_single_zero(w_plus)
+    name = w_plus.label or "W+"
     d1_0, d2_0 = _node_slopes(  # the gap eps = W+'(x0)/2 must be > 0
-        w_plus, x0, w_plus.label or "W+", GeneratorAdmissibilityError,
+        w_plus, x0, name, GeneratorAdmissibilityError,
         lambda d1: f"non-transversal or wrongly oriented zero: W+'(x0)={d1} at x0={x0}")
     eps = 0.5 * d1_0
     s = w_plus.scale_hint
@@ -249,6 +251,8 @@ def build_from_wplus(w_plus: GeneratorFunction) -> QesModel:
         return 0.5 * (d1 + sign * r1)
 
     W, W1 = _pair(w_plus, w_of, wprime_of, 2)
+    if not math.isfinite(d3_0):  # after _pair, whose sign probes name a W that overflows
+        raise GeneratorAdmissibilityError(f"{name}'s third derivative is not finite at x0={x0}")
     # psi0 = exp(-int W), normalizable by the sign condition; psi1 = W+ exp(-int W1)
     mode1 = zero_mode(W1, x0)
     psi0 = Eigenstate(0.0, zero_mode(W, x0))

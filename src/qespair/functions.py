@@ -8,10 +8,10 @@ Everything downstream consumes functions through two small types:
   derivatives: Horner for polynomials, closed forms for sinh, Taylor
   recurrences for parsed expressions.  The one central difference is the
   third derivative of the W_plus seed that cross_check_constructions builds.
-* :class:`CumulativeIntegral` is a primitive of an integrand, anchored so that
-  the value at ``base_point`` is exactly zero.  A fill keeps only the leaves of
-  its adaptive split, each with its primitive and its start value (a running
-  sum of leaf integrals), so repeated queries only pay for new territory.
+* :class:`CumulativeIntegral` is a primitive of an integrand, zero at
+  ``base_point``, on panels scale_hint/8 wide.  A fill keeps only the leaves of
+  its adaptive split, each with its primitive and its start value (a running sum
+  of leaf integrals), so repeated queries only pay for new territory.
 """
 
 from __future__ import annotations
@@ -236,22 +236,21 @@ class _Side:
 class CumulativeIntegral:
     """Primitive of an integrand anchored at a base point.
 
-    Calling it on an array returns the integral from ``base_point`` to each
-    point (signed), as an array of the same shape.
-    The axis is tiled into panels of fixed width starting at the base point.
-    Each side's panels are filled once, under a lock, by adaptive GL16; every
-    leaf of the adaptive split keeps the primitive of its 16-node interpolant,
-    so a query inside filled panels makes no integrand call.
+    Calling it on an array returns the signed integral from ``base_point`` to
+    each point, as an array of the same shape.  Panels scale_hint/8 wide tile
+    the axis from the base point; each side's are filled once, under a lock,
+    by adaptive GL16, and every leaf keeps the primitive of its 16-node
+    interpolant, so a query inside filled panels makes no integrand call.
     """
 
-    def __init__(self, integrand, base_point, panel_width):
-        if not (np.isfinite(panel_width) and panel_width > 0):
-            raise ValueError("panel_width must be positive and finite")
+    def __init__(self, integrand, base_point, scale_hint=1.0):
+        if not (np.isfinite(scale_hint) and scale_hint > 0):
+            raise ValueError("scale_hint must be positive and finite")
         if not np.isfinite(base_point):
             raise ValueError("base_point must be finite")
         self.integrand = integrand
         self.base_point = float(base_point)
-        self.panel_width = float(panel_width)
+        self._width = float(scale_hint) / 8.0
         empty = np.empty(0)
         self._sides = {side: _Side(0, 0.0, empty, empty, empty, empty, np.empty((len(_PRIMITIVE), 0)))
                        for side in (1, -1)}
@@ -267,7 +266,7 @@ class CumulativeIntegral:
         with self._lock:
             table = self._sides[side]
             if k >= table.panels:
-                edges = self.base_point + side * np.arange(table.panels, k + 2) * self.panel_width
+                edges = self.base_point + side * np.arange(table.panels, k + 2) * self._width
                 lo, hi, integral, coef = _integrate(self.integrand, edges[:-1], edges[1:], _ABS_TOL)
                 order = np.argsort(side * lo)
                 lo, hi = lo[order], hi[order]
@@ -284,10 +283,10 @@ class CumulativeIntegral:
 
     def __call__(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        steps = (xs - self.base_point) / self.panel_width
+        steps = (xs - self.base_point) / self._width
         if not (np.abs(np.floor(steps)) <= _MAX_PANELS).all():
             raise QueryRangeError(f"query points must be finite and within {_MAX_PANELS} "
-                                  f"panels of width {self.panel_width!r} of x={self.base_point!r}")
+                                  f"panels of width {self._width!r} of x={self.base_point!r}")
         flat, steps = xs.reshape(-1), steps.reshape(-1)
         out = np.empty_like(flat)
         for side in (1, -1):
@@ -302,9 +301,5 @@ class CumulativeIntegral:
 
 
 def cumulative_integral(integrand, base_point, *, scale_hint=1.0) -> CumulativeIntegral:
-    """Anchor a memoizing primitive of ``integrand`` at ``base_point``.
-
-    Panels are scale_hint/8 wide, narrow enough that one GL16 rule per panel
-    resolves anything smooth on that scale.
-    """
-    return CumulativeIntegral(integrand, base_point, float(scale_hint) / 8.0)
+    """Anchor a memoizing primitive of ``integrand`` at ``base_point``."""
+    return CumulativeIntegral(integrand, base_point, scale_hint)

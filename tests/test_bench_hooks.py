@@ -70,6 +70,17 @@ def test_traced_verify_reaches_every_patched_boundary(tracer, args):
     assert [key for key in counters if not tracer.counts[key]] == []
 
 
+@pytest.mark.parametrize("command", [
+    ["build", "--family", "poly-phi", "--emit", "{table}"],
+    ["spectrum", "--family", "poly-phi-ces", "--n-max", "2"],
+], ids=["build-emit", "spectrum"])
+def test_traced_build_and_spectrum_take_the_patched_auto_grid(tracer, command, tmp_path):
+    # a grid function that bound auto_grid at import would leave this at zero
+    table = str(tmp_path / "t.csv")
+    assert quiet_main([arg.format(table=table) for arg in command]) == 0
+    assert tracer.counts["verify.auto_grid_psi_calls"] > 0
+
+
 def test_traced_grid_ladder_counts_each_public_eigensolve_once(tracer):
     # the library calls of the grid-refine workload: verify_model solves V_minus
     # through eigensolve and its partner V_plus from those levels, then one 9-level

@@ -299,7 +299,16 @@ class TestValidation:
         code, out, err = run(["crosscheck", "--family", "custom", "--expr", "x*1e-150",
                               "--epsilon", "1"], capsys)
         assert code == 2 and out == ""
-        assert err.splitlines() == ["error: v_minus is not finite on the probe grid [-8.0, 8.0]"]
+        assert err.splitlines() == [
+            "error: 2*eps*phi/phi''s second derivative is not finite at x0=0.0"]
+
+    def test_overflowing_third_derivative_at_the_node_is_named(self, capsys):
+        # 6*1.7e308 overflows in W+'''(0); W+ and its first two derivatives stay finite
+        code, out, err = run(["verify", "--family", "custom", "--expr", "x + 1.7e308*x^3",
+                              "--scale-hint", "1e-50"], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: x + 1.7e308*x^3's third derivative is not finite at x0=0.0"]
 
     @pytest.mark.parametrize("args,probes", [
         (["verify", "--family", "sinh-wplus", "--A", "1e300"], "[-20.0, 20.0]"),
@@ -428,6 +437,52 @@ class TestVerify:
         rows = json.loads(out_path.read_text())
         assert [r["config"]["params"]["b"] for r in rows] == [0.5, 0.75, 1.0, 1.25]
         assert all(r["passed"] for r in rows)
+
+
+def _first_taker(name):
+    return next(family for family, spec in FAMILIES.items() if name in spec.defaults)
+
+
+# (flags, config key as a path into the echoed config, value read back); an
+# empty --out still prints the report, and the echo records the flag as given
+FLAG_KEYS = [
+    (["--family", "poly-phi"], ["family"], "poly-phi"),
+    *[(["--family", _first_taker(name), f"--{name}", "0.25"], ["params", name], 0.25)
+      for name in dict.fromkeys(k for spec in FAMILIES.values() for k in spec.defaults)],
+    (["--family", "custom", "--expr", "x + x^3"], ["expr"], "x + x^3"),
+    (["--family", "custom", "--expr", "x + x^3", "--scale-hint", "1.5"], ["scale_hint"], 1.5),
+    (["--grid-l", "12"], ["grid", "L"], 12.0),
+    (["--grid-n", "1001"], ["grid", "N"], 1001),
+    (["--tol-e", "1e-5"], ["tolerances", "energy"], 1e-5),
+    (["--out", "{report}"], ["output", "path"], "{report}"),
+    (["--out", ""], ["output", "path"], ""),
+]
+
+
+@pytest.mark.parametrize("flags,key,value", FLAG_KEYS, ids=[
+    " ".join(f[-2:]) if f[-1] else "--out-empty" for f, _, _ in FLAG_KEYS])
+def test_each_verify_flag_reaches_its_config_key(flags, key, value, tmp_path, capsys):
+    report = str(tmp_path / "r.json")
+    code, out, err = run(["verify", *(f.format(report=report) for f in flags)], capsys)
+    assert code in (0, 1), err
+    config = json.loads(Path(report).read_text() if value == "{report}" else out)["config"]
+    for part in key:
+        config = config[part]
+    assert config == (report if value == "{report}" else value)
+
+
+def test_every_verify_flag_has_a_config_key_case():
+    dests = set(vars(build_parser().parse_args(["verify"])))
+    covered = {f[-2].lstrip("-").replace("-", "_") for f, _, _ in FLAG_KEYS}
+    assert dests - covered == {"command", "func", "config", "sweep"}
+
+
+def test_build_emit_writes_its_table_at_the_given_path(tmp_path, capsys):
+    table = tmp_path / "sub" / "table.csv"
+    table.parent.mkdir()
+    code, out, _ = run(["build", "--family", "poly-phi", "--emit", str(table)], capsys)
+    assert code == 0 and out.startswith("family=poly-phi ")
+    assert table.read_text().splitlines()[0] == "x,v_minus,v_plus,w,w1,psi0,psi1"
 
 
 class TestConfigFile:

@@ -383,6 +383,22 @@ def test_sign_change_through_a_pole_is_named(expr, build, error, estimate):
                                   f"not a zero (Schroder estimate {estimate})")
 
 
+@pytest.mark.parametrize("build,error,order,noun", [
+    (build_from_wplus, GeneratorAdmissibilityError, "deriv2", "second derivative"),
+    (lambda phi: build_from_phi(phi, 1.0), PhiNotMonotoneError, "deriv2", "second derivative"),
+    (build_from_wplus, GeneratorAdmissibilityError, "deriv3", "third derivative"),
+], ids=["wplus", "phi", "wplus-third"])
+def test_derivative_not_finite_at_the_node_is_named(build, error, order, noun):
+    # NaN at the node alone: the sign probes, far from it, stay finite
+    gen = cubic_phi()
+    x0 = find_single_zero(gen)
+    fn = getattr(gen, order)
+    stub = dataclasses.replace(gen, **{order: lambda x: np.where(x == x0, np.nan, fn(x))})
+    with pytest.raises(error) as refused:
+        build(stub)
+    assert str(refused.value) == f"x + x^3/3's {noun} is not finite at x0={x0}"
+
+
 class TestCrossCheck:
     def test_routes_agree_for_the_cubic_shape(self):
         result = cross_check_constructions(build_from_phi(cubic_phi(), 1.0))

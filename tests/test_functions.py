@@ -199,11 +199,12 @@ class TestCumulativeIntegral:
             cumulative_integral(integrand, 0.0)(np.linspace(-3.0, 3.0, 7))
         assert caplog.records == []
 
-    def test_explicit_panel_width(self):
-        F = CumulativeIntegral(np.cos, 0.0, panel_width=0.5)
+    def test_explicit_scale_hint(self):
+        F = CumulativeIntegral(np.cos, 0.0, scale_hint=4.0)  # panels 0.5 wide
         assert F(7.0) == pytest.approx(math.sin(7.0), abs=1e-11)
-        with pytest.raises(ValueError, match="panel_width must be positive and finite"):
-            CumulativeIntegral(np.cos, 0.0, 0.0)
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="scale_hint must be positive and finite"):
+                CumulativeIntegral(np.cos, 0.0, bad)
         with pytest.raises(ValueError, match="base_point must be finite"):
             CumulativeIntegral(np.cos, np.inf, 1.0)
 
