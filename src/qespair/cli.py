@@ -39,7 +39,8 @@ from .errors import ConfigError, QesError
 from .expressions import parse_generator
 from .families import FAMILIES
 from .functions import _sample_finite
-from .verify import VERIFY_LEVELS, Grid, Tolerances, auto_grid, eigensolve, verify_model
+from .verify import (POINTS_PER_LEVEL, VERIFY_LEVELS, Grid, Tolerances, auto_grid, eigensolve,
+                     verify_model)
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -173,7 +174,7 @@ def _settings(args, levels: int = 0):
 
     grid_of(model) is the configured Grid when L is set, else auto_grid of N
     points at the configured boundary decay.  levels is how many eigenvalues
-    the command solves for: eigensolve resolves N // 4 on N points."""
+    the command solves for: eigensolve resolves N // POINTS_PER_LEVEL on N points."""
     cfg = _resolve_config(args)
     _family(cfg)
     overrides = {}
@@ -188,9 +189,10 @@ def _settings(args, levels: int = 0):
         raise ConfigError(f"grid N (--grid-n) must be an odd integer >= 3 (got {n})")
     if 8 * n > np.iinfo(np.intp).max:  # numpy refuses an array whose bytes overflow intp
         raise ConfigError(f"grid N (--grid-n) = {n} is more points than numpy can address")
-    if levels > n // 4:
-        raise ConfigError(f"grid N (--grid-n) = {n} resolves at most {n // 4} "
-                          f"levels; {levels} are needed (use N >= {4 * levels + 1})")
+    if levels > n // POINTS_PER_LEVEL:
+        raise ConfigError(f"grid N (--grid-n) = {n} resolves at most {n // POINTS_PER_LEVEL} "
+                          f"levels; {levels} are needed "
+                          f"(use N >= {POINTS_PER_LEVEL * levels + 1})")
     if "L" not in cfg.grid:  # auto_grid is looked up per call, so a patched name is used
         return cfg, tol, lambda model: auto_grid(model, tol.boundary_decay, n)
     L = _number(cfg.grid["L"], "grid.L")

@@ -47,8 +47,8 @@ PROBE_HALF_WIDTH = 8.0  # in units of scale_hint
 # its Taylor form; outside, the naive quotient is already at full precision.
 TAYLOR_WINDOW = 1e-3
 
-# The node polish stops once its sign bracket is narrower than
-# _XTOL + _RTOL*|x| or its Newton step no longer moves x.  A triple root
+# The node polish stops once its sign bracket is narrower than _XTOL scale
+# hints + _RTOL*|x| or its Newton step no longer moves x.  A triple root
 # converges linearly by 2/3 a step and needs about 80 steps from the scan
 # bracket down to one ulp.
 _XTOL = 1e-15
@@ -164,7 +164,7 @@ def _polish_zero(f: GeneratorFunction, a: float, b: float) -> float:
             lo = x
         else:
             hi = x
-        if abs(hi - lo) < _XTOL + _RTOL * abs(x):
+        if abs(hi - lo) < _XTOL * f.scale_hint + _RTOL * abs(x):
             return x
         slope = _at(f.deriv1, x)
         x_new = x - fx / slope if slope != 0.0 else math.nan
@@ -358,10 +358,9 @@ def cross_check_constructions(model: QesModel) -> CrossCheckResult:
         return 2.0 * eps * (1.0 - phi.eval(x) * phi.deriv2(x) / (p1 * p1))
 
     def wp2(x):
-        p1 = phi.deriv1(x)
-        p2 = phi.deriv2(x)
-        return 2.0 * eps * (-p2 / p1 - phi.eval(x) * phi.deriv3(x) / (p1 * p1)
-                            + 2.0 * phi.eval(x) * p2 * p2 / (p1 * p1 * p1))
+        p0, p1, p2 = phi.eval(x), phi.deriv1(x), phi.deriv2(x)
+        return 2.0 * eps * (-p2 / p1 - p0 * phi.deriv3(x) / (p1 * p1)
+                            + 2.0 * p0 * p2 * p2 / (p1 * p1 * p1))
 
     # step keyed below the shape scale so steep phi'' spikes stay resolved
     h = 1e-4 * s

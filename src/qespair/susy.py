@@ -28,6 +28,7 @@ __all__ = [
     "Eigenstate",
     "zero_mode",
     "pair_potentials",
+    "partner_potential",
     "check_sign_condition",
     "riccati_residual",
 ]
@@ -64,21 +65,24 @@ class Eigenstate:
     psi: Callable
 
 
+def partner_potential(w, wprime, sign: float):
+    """(W^2 + sign W')/2 from samples of W and W': V_plus at sign 1, V_minus at -1.
+
+    -1.0 * W' is an exact negation, so V_minus has the bits of (W^2 - W')/2.
+    """
+    return 0.5 * (w * w + sign * wprime)
+
+
 def pair_potentials(W: Superpotential) -> PotentialPair:
-    """V_minus = (W^2 - W')/2 and V_plus = (W^2 + W')/2 as callables.
+    """V_minus and V_plus (partner_potential) as callables.
 
     Each sample takes W and W' from one W.w_and_wprime call.
     """
 
-    def v_minus(x):
-        w, wprime = W.w_and_wprime(x)
-        return 0.5 * (w * w - wprime)
+    def potential(sign):
+        return lambda x: partner_potential(*W.w_and_wprime(x), sign)
 
-    def v_plus(x):
-        w, wprime = W.w_and_wprime(x)
-        return 0.5 * (w * w + wprime)
-
-    return PotentialPair(v_minus, v_plus)
+    return PotentialPair(potential(-1.0), potential(1.0))
 
 
 def zero_mode(W: Superpotential, x0: float) -> Callable:

@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 from .construct import QesModel
 from .errors import QueryRangeError
 from .functions import _sample_finite, _sample_states
-from .susy import riccati_residual
+from .susy import partner_potential, riccati_residual
 
 __all__ = [
     "Grid",
@@ -39,8 +39,9 @@ __all__ = [
 
 VERIFY_LEVELS = 4  # lowest levels of V_minus that verify_model solves for
 AUTO_GRID_CAP = 50  # auto_grid's widest box, in scale hints
+POINTS_PER_LEVEL = 4  # a grid of N points resolves N // POINTS_PER_LEVEL levels
 
-# Shifted inverse iteration in eigensolve (see _certified_levels and _guess).
+# Shifted inverse iteration in eigensolve (see _steer and _certified_levels).
 COARSEN = 8               # a grid is steered by the levels on its every COARSEN-th point
 MIN_COARSE_POINTS = 201   # fewest coarse points a grid is steered from
 STEER_TOL = 1e-10         # the innermost coarse grid bisects to STEER_TOL ||T||_1
@@ -156,7 +157,8 @@ def _apply(diag: np.ndarray, off: float, x: np.ndarray) -> np.ndarray:
 
 def _eligible(n: int, k: int) -> bool:
     """Whether a grid of n points is steered by its every COARSEN-th point."""
-    return (n - 1) % COARSEN == 0 and (n - 1) // COARSEN + 1 >= max(MIN_COARSE_POINTS, 4 * k + 1)
+    return ((n - 1) % COARSEN == 0
+            and (n - 1) // COARSEN + 1 >= max(MIN_COARSE_POINTS, POINTS_PER_LEVEL * k + 1))
 
 
 def _uncertified(reason: str, n: int, k: int) -> None:
@@ -234,41 +236,37 @@ def _certified_levels(pot: np.ndarray, h: float, shifts, starts: np.ndarray):
     return lam, starts
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite guess fails the certificate
 def _steer(pot: np.ndarray, h: float, k: int):
-    """Shifts and start vectors for the lowest k levels of the stencil on pot:
-    _guess's eigenpairs of the box on every COARSEN-th point, the vectors
-    linearly interpolated onto pot's grid (coarse point i is fine point
-    COARSEN i)."""
-    shifts, coarse = _guess(pot[::COARSEN], COARSEN * h, k)
-    fine, coarse_points = np.arange(pot.size) / COARSEN, np.arange(coarse.shape[0])
+    """Shifts and start vectors for the lowest k levels of the stencil on pot,
+    uncertified: the box on every COARSEN-th point (coarse point i is fine
+    point COARSEN i) gives its lowest k eigenpairs, the vectors linearly
+    interpolated onto pot's grid.  An eligible coarse grid is steered the
+    same way in turn and refined with one factorization of T - sigma I and
+    one normalized solve per level, the level being the Rayleigh quotient;
+    there is no residual gate, overlap test or Sturm count.  Otherwise
+    LAPACK's bisection stops at an absolute width of STEER_TOL ||T||_1, and
+    inverse iteration (stein) gives the vectors; a LinAlgError from it
+    propagates."""
+    coarse, coarse_h = pot[::COARSEN], COARSEN * h
+    diag, sub = _tridiagonal(coarse, coarse_h)
+    off = float(sub[0])
+    if _eligible(coarse.size, k):
+        shifts, x = _steer(coarse, coarse_h, k)
+        for j, sigma in enumerate(shifts):
+            dl, d, du, du2, ipiv, _ = dgttrf(sub, diag - sigma, sub)
+            y, _ = dgttrs(dl, d, du, du2, ipiv, x[:, j])
+            y /= np.linalg.norm(y)
+            x[:, j] = y
+            shifts[j] = y @ _apply(diag, off, y)
+    else:
+        shifts, x = eigh_tridiagonal(diag, sub, select="i", select_range=(0, k - 1),
+                                     tol=STEER_TOL * _one_norm(diag, off))
+    fine, coarse_points = np.arange(pot.size) / COARSEN, np.arange(coarse.size)
     starts = np.empty((pot.size, k), order="F")
     for j in range(k):
-        starts[:, j] = np.interp(fine, coarse_points, coarse[:, j])
+        starts[:, j] = np.interp(fine, coarse_points, x[:, j])
     return shifts, starts
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite guess fails the certificate
-def _guess(pot: np.ndarray, h: float, k: int):
-    """Uncertified lowest k eigenpairs of the stencil on pot, which only steer
-    a finer grid.  An eligible grid refines _steer's from its own coarse grid
-    with one factorization of T - sigma I and one normalized solve per level,
-    the level being the Rayleigh quotient; there is no residual gate, overlap
-    test or Sturm count.  Otherwise LAPACK's bisection stops at an absolute
-    width of STEER_TOL ||T||_1, and inverse iteration (stein) gives the
-    vectors; a LinAlgError from it propagates."""
-    diag, sub = _tridiagonal(pot, h)
-    off = float(sub[0])
-    if not _eligible(pot.size, k):
-        return eigh_tridiagonal(diag, sub, select="i", select_range=(0, k - 1),
-                                tol=STEER_TOL * _one_norm(diag, off))
-    shifts, x = _steer(pot, h, k)
-    for j, sigma in enumerate(shifts):
-        dl, d, du, du2, ipiv, _ = dgttrf(sub, diag - sigma, sub)
-        y, _ = dgttrs(dl, d, du, du2, ipiv, x[:, j])
-        y /= np.linalg.norm(y)
-        x[:, j] = y
-        shifts[j] = y @ _apply(diag, off, y)
-    return shifts, x
 
 
 def _levels(pot: np.ndarray, h: float, k: int, steering=None):
@@ -293,15 +291,16 @@ def eigensolve(v: Callable, grid: Grid, k: int):
 
     Always returns both: (energies ascending, eigenvectors as columns,
     l2-normalized); a caller that needs only the energies drops the second.
-    On an eligible grid ((N - 1) a multiple of COARSEN, at least
-    max(MIN_COARSE_POINTS, 4k + 1) coarse points) the box on every
-    COARSEN-th point steers shifted inverse iteration (_steer): its levels
-    are the shifts and its vectors, interpolated, the start vectors.  Those
-    coarse levels are only guesses (_guess: one solve per level from a
-    coarser grid, LAPACK's bisection to STEER_TOL ||T||_1 on the
-    innermost), and the fine grid's own residual bounds, disjoint error
-    intervals and one Sturm count certify the k lowest eigenpairs, each
-    energy within its residual plus roundoff (_certified_levels).
+    k is at most N // POINTS_PER_LEVEL.  On an eligible grid ((N - 1) a
+    multiple of COARSEN, at least max(MIN_COARSE_POINTS, POINTS_PER_LEVEL
+    k + 1) coarse points) the box on every COARSEN-th point steers shifted
+    inverse iteration (_steer): its levels are the shifts and its vectors,
+    interpolated, the start vectors.  Those coarse levels are only guesses
+    (one solve per level from a coarser grid, LAPACK's bisection to
+    STEER_TOL ||T||_1 on the innermost), and the fine grid's own residual
+    bounds, disjoint error intervals and one Sturm count certify the k
+    lowest eigenpairs, each energy within its residual plus roundoff
+    (_certified_levels).
     Otherwise, or when the certificate fails (logged at DEBUG on
     qespair.verify), LAPACK's full-precision bisection plus inverse
     iteration solves the grid.  Either way the result is accurate to the
@@ -310,7 +309,7 @@ def eigensolve(v: Callable, grid: Grid, k: int):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > grid.N // 4:
+    if k > grid.N // POINTS_PER_LEVEL:
         raise ValueError("k is too large for this grid")
     pot = _sample_finite(v, grid.points(), grid.where, "potential")
     try:
@@ -387,7 +386,7 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     one that is not finite (or a state that is zero on every point) and the
     point set in a QueryRangeError.
 
-    V_minus is solved by eigensolve.  Its partner V_plus = (W^2 + W')/2,
+    V_minus is solved by eigensolve.  Its partner V_plus (partner_potential),
     sampled with W in one (W, W') call, is steered by it: V_minus's levels
     1-3 are the shifts, and A psi = psi' + W psi (psi' by np.gradient)
     carries their vectors to the start vectors, since A H_minus = H_plus A.
@@ -401,13 +400,12 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
 
     x = grid.points()
     eps = model.epsilon
-    tol_e = tol.energy_effective(eps)
 
     e_minus, vec_minus = eigensolve(model.potentials.v_minus, grid, VERIFY_LEVELS)
 
-    def partner(p):  # V_plus = (W^2 + W')/2 and W, from one (W, W') sample
+    def partner(p):  # V_plus and W, from one (W, W') sample
         w, wprime = model.W.w_and_wprime(p)
-        return 0.5 * (w * w + wprime), w
+        return partner_potential(w, wprime, 1.0), w
 
     v_plus, w = _sample_finite(partner, x, grid.where, "potential", "W")
     starts = np.gradient(vec_minus[:, 1:], grid.h, axis=0)
@@ -415,7 +413,6 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
     e_plus, _ = _levels(v_plus, grid.h, VERIFY_LEVELS - 1, (e_minus[1:], starts))
 
     energy_errors = [abs(float(e_minus[0])), abs(float(e_minus[1]) - eps)]
-    check_energy = all(err < tol_e for err in energy_errors)
 
     # over 2^(its peak's exponent), exact: no product below overflows, no ratio moves a bit
     on_grid = _sample_states(model.states, x, grid.where)
@@ -428,25 +425,18 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
         return 1.0 - num / den
 
     cosine_gaps = [cosine_gap(psi0_s, vec_minus[:, 0]), cosine_gap(psi1_s, vec_minus[:, 1])]
-    check_cosine = all(g < tol.cosine_gap for g in cosine_gaps)
 
     overlap = _simpson(psi0_s * psi1_s, grid.h)
     n0 = _simpson(psi0_s * psi0_s, grid.h)
     n1 = _simpson(psi1_s * psi1_s, grid.h)
     ortho_ratio = abs(overlap) / math.sqrt(n0 * n1)
-    check_orth = ortho_ratio < tol.orthogonality
-
     node_counts = [count_nodes(psi0_s), count_nodes(psi1_s)]
-    check_nodes = node_counts == [0, 1]
-
     degeneracy = [abs(float(e_minus[n + 1]) - float(e_plus[n])) for n in range(3)]
-    check_degeneracy = all(d < tol_e for d in degeneracy)
 
     probe = model.probe_points()
     riccati = _sample_finite(lambda p: riccati_residual(model.W, model.W1, eps, p), probe,
                              f"the probe grid [{probe[0]}, {probe[-1]}]", "riccati_residual")
     riccati_sup = float(np.max(np.abs(riccati)))
-    check_riccati = riccati_sup < tol.riccati
 
     res_x = np.linspace(model.x0 - 6.0 * model.scale_hint,
                         model.x0 + 6.0 * model.scale_hint, 200)
@@ -461,7 +451,6 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
         lap = (right - 2.0 * p + left) / (fd_step * fd_step)
         r = -0.5 * lap + (v_res - state.energy) * p
         residual_sups.append(float(np.max(np.abs(r))) / float(np.max(np.abs(p))))
-    check_residual = all(r < tol.residual_scale * max(1.0, eps) for r in residual_sups)
 
     norms = [math.ldexp(1.0 / math.sqrt(n), -e) for n, e in zip((n0, n1), exps)]
 
@@ -478,15 +467,16 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
                            f"hints of {model.scale_hint:g}, where it stops whether or not the "
                            f"states have decayed")
 
-    checks = {
-        "energy_levels": check_energy,
-        "eigenvector_overlap": check_cosine,
-        "orthogonality": check_orth,
-        "node_counts": check_nodes,
-        "susy_degeneracy": check_degeneracy,
-        "riccati_identity": check_riccati,
-        "schrodinger_residual": check_residual,
+    gates = {  # each check's measured values and the gate every one must be below
+        "energy_levels": (energy_errors, tol.energy_effective(eps)),
+        "eigenvector_overlap": (cosine_gaps, tol.cosine_gap),
+        "orthogonality": ([ortho_ratio], tol.orthogonality),
+        "node_counts": ([abs(n - want) for n, want in zip(node_counts, (0, 1))], 1),
+        "susy_degeneracy": (degeneracy, tol.energy_effective(eps)),
+        "riccati_identity": ([riccati_sup], tol.riccati),
+        "schrodinger_residual": (residual_sups, tol.residual_scale * max(1.0, eps)),
     }
+    checks = {name: all(v < gate for v in values) for name, (values, gate) in gates.items()}
     return SpectralReport(
         grid=grid,
         tolerances=tol,
@@ -494,12 +484,12 @@ def verify_model(model: QesModel, grid: Optional[Grid] = None,
         eigenvalues=[float(e) for e in e_minus],
         eigenvalues_plus=[float(e) for e in e_plus],
         energy_errors=energy_errors,
-        cosine_gaps=[float(g) for g in cosine_gaps],
+        cosine_gaps=cosine_gaps,
         orthogonality_ratio=ortho_ratio,
-        node_counts=[int(n) for n in node_counts],
-        susy_degeneracy_errors=[float(d) for d in degeneracy],
+        node_counts=node_counts,
+        susy_degeneracy_errors=degeneracy,
         riccati_sup=riccati_sup,
-        residual_sups=[float(r) for r in residual_sups],
+        residual_sups=residual_sups,
         normalization_constants=norms,
         boundary_amplitudes=boundary,
         checks=checks,

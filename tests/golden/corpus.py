@@ -93,6 +93,13 @@ COMMANDS = (
     + [["verify", "--family", "custom", "--expr", REMOVABLE],
        ["verify", "--family", "custom", "--expr", REMOVABLE, "--epsilon", "1"],
        ["verify", "--family", "custom", "--expr", "x + 0.3*(cosh(1e3) + cosh(x))^-1"]]
+    # the node polished in scale hints: a seed at scale hint 1e-16 (exit 1, by
+    # the Riccati gate alone, which is absolute), and a CES draw whose scan
+    # midpoint is 2.2e-16 off its zero at 0 (exit 0)
+    + [["verify", "--family", "custom", "--expr", "(x/1e-16 - 0.3 + (x/1e-16)^3)/1e-16",
+        "--scale-hint", "1e-16"],
+       ["verify", "--family", "poly-phi-ces", "--a", "0.08617089194617562",
+        "--b", "3.842051363786088"]]
 )
 
 

@@ -413,6 +413,18 @@ class TestVerify:
         assert code in (0, 1)
         assert json.loads(out)["passed"] is (code == 0)
 
+    def test_tiny_scale_linear_seed_reports_its_capped_box(self, capsys):
+        # x0 = 0 exactly: a node 0.02 scale hints off it put x = 0 outside the
+        # Taylor window, where the quotient is 0/0 (exit 2, "potential is not
+        # finite").  The box is capped, so V_plus's certificate falls back to
+        # bisection, and the golden corpus, whose commands all certify, skips it.
+        code, out, err = run(["verify", "--family", "custom", "--expr", "x",
+                              "--scale-hint", "1e-16"], capsys)
+        assert (code, err.splitlines()) == (1, [CAP_NOTICE])
+        report = json.loads(out)
+        assert report["grid"]["L"] == 5e-15
+        assert report["diagnostics"][-1].startswith("box L = 5e-15 is auto_grid's cap")
+
     def test_unreachable_tolerance_exits_one(self, capsys):
         code, out, _ = run(["verify", "--family", "poly-wplus", "--a", "2", "--b", "1",
                             "--tol-e", "1e-9"], capsys)

@@ -236,6 +236,24 @@ class TestFindSingleZero:
         # f' vanishes at the root, so Newton only gains a factor 2/3 a step
         assert abs(find_single_zero(parse_generator("(x - 0.7)^3")) - 0.7) < 1e-15
 
+    @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-12, 1e-16, 1e-20])
+    def test_polish_stops_in_scale_hints(self, s):
+        # the scan bracket is 0.04 scale hints wide; an absolute stopping
+        # width of 1e-15 returned its midpoint unpolished below s ~ 2.5e-14
+        g = parse_generator(f"(x/{s!r} - 0.3 + (x/{s!r})^3)/{s!r}", scale_hint=s)
+        assert find_single_zero(g) / s == 0.2784179903218099
+
+    def test_tiny_scale_linear_seed_has_its_node_at_the_origin(self):
+        # the unscaled stop accepted x0 = -2e-18, 0.02 scale hints off the zero
+        assert build_from_wplus(parse_generator("x", scale_hint=1e-16)).x0 == 0.0
+
+    def test_ces_scan_midpoint_polishes_to_the_exact_zero(self):
+        # the scan bracket's midpoint is 2.2e-16, not 0; an absolute stopping width
+        # of 1e-15 left the node at -3.4e-16
+        model = FAMILIES["poly-phi-ces"].build({"a": 0.08617089194617562,
+                                                "b": 3.842051363786088})
+        assert model.x0 == 0.0
+
 
 class TestEpsilonFromSlope:
     def test_half_the_slope_at_the_node(self):

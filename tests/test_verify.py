@@ -539,6 +539,41 @@ class TestVerifyModel:
         assert not report.checks["energy_levels"]
         assert not report.passed
 
+    # each Tolerances field, the report fields its gates read, and their checks
+    GATED = {"energy": {"energy_errors": "energy_levels",
+                        "susy_degeneracy_errors": "susy_degeneracy"},
+             "cosine_gap": {"cosine_gaps": "eigenvector_overlap"},
+             "orthogonality": {"orthogonality_ratio": "orthogonality"},
+             "riccati": {"riccati_sup": "riccati_identity"},
+             "residual_scale": {"residual_sups": "schrodinger_residual"}}
+
+    @pytest.mark.parametrize("field,measured", [(f, m) for f, ms in GATED.items() for m in ms])
+    def test_each_gate_fails_at_its_measured_value_and_passes_just_above(self, field, measured):
+        # eps = 1, so every gate is its tolerance: a check fails exactly when
+        # one of its values is not strictly below it
+        spec = FAMILIES["poly-wplus"]
+        model = spec.build(dict(spec.defaults))
+        assert model.epsilon == 1.0
+        def values(report):  # everything measured, without the gates and verdicts
+            return {k: v for k, v in report.items() if k not in ("tolerances", "checks", "passed")}
+
+        base = verify_model(model).to_dict()
+        assert all(base["checks"].values())
+        largest = {m: float(np.max(base[m])) for m in self.GATED[field]}
+        for gate in (largest[measured], np.nextafter(largest[measured], np.inf)):
+            report = verify_model(model, tolerances=Tolerances(**{field: gate})).to_dict()
+            assert values(report) == values(base)
+            failing = {check for m, check in self.GATED[field].items() if largest[m] >= gate}
+            assert {k for k, ok in report["checks"].items() if not ok} == failing
+            assert (self.GATED[field][measured] in failing) == (gate == largest[measured])
+
+    def test_swapped_states_fail_the_node_count(self):
+        spec = FAMILIES["poly-wplus"]
+        model = spec.build(dict(spec.defaults))
+        report = verify_model(dataclasses.replace(model, psi0=model.psi1, psi1=model.psi0))
+        assert report.node_counts == [1, 0]
+        assert report.checks["node_counts"] is False
+
     def test_stencil_residual_sees_the_state_not_quadrature_noise(self):
         # The reference is the same 200-point, +-6 scale-hint stencil with
         # fd_step = 3e-4 scale hints, V_minus from the model and psi0 from
