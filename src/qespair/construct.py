@@ -342,11 +342,11 @@ def cross_check_constructions(model: QesModel) -> CrossCheckResult:
     model is what build_from_phi returned; its seed, gap and scale hint are
     read from model.phi, model.epsilon and model.scale_hint.  Its combined
     superpotential 2*eps*phi/phi' is the seed of the W_plus route.  Its first
-    two derivatives are analytic in phi; the third, read once at the node for
-    the Taylor patch, is a fourth-order central difference of the analytic
-    second derivative, accurate to ~1e-12 relative.  Potentials are compared
-    in sup norm over the probe grid; wavefunctions are grid-normalized first
-    and compared as built, with no sign aligned.
+    two derivatives are analytic in phi; the third, read only at the node for
+    the Taylor patch, is 2*eps*(3 phi''^2 - 2 phi' phi''')/phi'^2, exact where
+    phi = 0.  Potentials are compared in sup norm over the probe grid;
+    wavefunctions are grid-normalized first and compared as built, with no
+    sign aligned.
     """
     phi, eps, s = model.phi, model.epsilon, model.scale_hint
 
@@ -362,12 +362,9 @@ def cross_check_constructions(model: QesModel) -> CrossCheckResult:
         return 2.0 * eps * (-p2 / p1 - p0 * phi.deriv3(x) / (p1 * p1)
                             + 2.0 * p0 * p2 * p2 / (p1 * p1 * p1))
 
-    # step keyed below the shape scale so steep phi'' spikes stay resolved
-    h = 1e-4 * s
-
-    def wp3(x):
-        return (-wp2(x + 2 * h) + 8.0 * wp2(x + h)
-                - 8.0 * wp2(x - h) + wp2(x - 2 * h)) / (12.0 * h)
+    def wp3(x):  # exact where phi = 0; elsewhere it lacks -2 eps phi phi''''/phi'^2
+        p1, p2 = phi.deriv1(x), phi.deriv2(x)
+        return 2.0 * eps * (3.0 * p2 * p2 - 2.0 * p1 * phi.deriv3(x)) / (p1 * p1)
 
     seed = GeneratorFunction(wp, wp1, wp2, wp3, s, "2*eps*phi/phi'")
     model_a = build_from_wplus(seed)

@@ -6,8 +6,7 @@ Everything downstream consumes functions through two small types:
   derivatives and a characteristic length scale.  Callables take a numpy
   array and act elementwise; a single point is a 1-element array.  Seeds supply exact
   derivatives: Horner for polynomials, closed forms for sinh, Taylor
-  recurrences for parsed expressions.  The one central difference is the
-  third derivative of the W_plus seed that cross_check_constructions builds.
+  recurrences for parsed expressions.
 * :class:`CumulativeIntegral` is a primitive of an integrand, zero at
   ``base_point``, on panels scale_hint/8 wide.  A fill keeps only the leaves of
   its adaptive split, each with its primitive and its start value (a running sum
@@ -60,8 +59,8 @@ class GeneratorFunction:
 
     ``eval`` and ``deriv1``..``deriv3`` take an ndarray and return one of
     the same shape.  ``scale_hint`` is the characteristic length over which the
-    function varies; probe grids, quadrature panels and finite-difference
-    steps are all expressed in units of it.
+    function varies; probe grids and quadrature panels are expressed in
+    units of it.
     """
 
     eval: Callable
@@ -292,7 +291,11 @@ class CumulativeIntegral:
         for side in (1, -1):
             rows = np.flatnonzero(steps >= 0 if side == 1 else steps < 0)
             if rows.size:
-                table = self._side(side, int(np.floor(side * steps[rows]).max()))
+                far = flat.max() if side == 1 else flat.min()
+                k = math.floor(side * (far - self.base_point) / self._width)
+                # the division can round below k + 1 on the edge product leaf k + 1 starts at
+                k += bool(side * far >= side * (self.base_point + side * (k + 1) * self._width))
+                table = self._side(side, k)
                 # in blocks, so a query's temporaries stay bounded however many points it has
                 for start in range(0, rows.size, _MAX_INTERVALS * _GL_NODES.size):
                     block = rows[start:start + _MAX_INTERVALS * _GL_NODES.size]

@@ -65,6 +65,9 @@ COMMANDS = (
     + [["verify", "--family", "custom", "--expr", e] for e in WPLUS_SEEDS]
     + [["verify", "--family", "custom", "--expr", e, "--epsilon", "1.5"] for e in PHI_SEEDS]
     + [["crosscheck", "--family", "custom", "--expr", e, "--epsilon", "2"] for e in PHI_SEEDS]
+    # the two seeds whose node is off the origin, at two more gaps
+    + [["crosscheck", "--family", "custom", "--expr", e, "--epsilon", eps]
+       for e in ("x - 0.5 + x^3", "x + 0.3*x^3 + 0.5*tanh(2*x - 1)") for eps in ("0.7", "6")]
     + [["spectrum", "--family", "poly-phi-ces", "--n-max", "4"],
        ["spectrum", "--family", "poly-wplus"],
        ["spectrum", "--family", "custom", "--expr", "x + x^3/3", "--epsilon", "1.5",

@@ -425,6 +425,18 @@ class TestVerify:
         assert report["grid"]["L"] == 5e-15
         assert report["diagnostics"][-1].startswith("box L = 5e-15 is auto_grid's cap")
 
+    def test_report_on_the_auto_box_is_the_report_on_that_box_given(self, capsys):
+        # auto_grid's walk fills the primitives further than a run given its box;
+        # a grid point on a panel edge must read the same either way
+        draw = ["verify", "--family", "poly-wplus", "--a", "3.1701233239567874",
+                "--b", "0.32081809922974414"]
+        auto = json.loads(run(draw, capsys)[1])
+        assert auto["grid"]["L"] == 4.765716124224083
+        given = json.loads(run(draw + ["--grid-l", "4.765716124224083"], capsys)[1])
+        assert auto["config"].pop("grid") == {}
+        assert given["config"].pop("grid") == {"L": 4.765716124224083}
+        assert given == auto
+
     def test_unreachable_tolerance_exits_one(self, capsys):
         code, out, _ = run(["verify", "--family", "poly-wplus", "--a", "2", "--b", "1",
                             "--tol-e", "1e-9"], capsys)

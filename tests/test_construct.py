@@ -459,6 +459,27 @@ class TestCrossCheck:
         assert result.psi0_sup < 1e-8
         assert result.psi1_sup == pytest.approx(0.256, abs=1e-3)
 
+    @pytest.mark.parametrize("expr", ["x - 0.5 + x^3", "x + 0.3*x^3 + 0.5*tanh(2*x - 1)"])
+    def test_rebuilt_seed_has_the_exact_third_derivative_at_its_node(self, expr, monkeypatch):
+        import sympy
+
+        seeds = []
+
+        def wplus_route(seed):
+            seeds.append(seed)
+            return build_from_wplus(seed)
+
+        monkeypatch.setattr(construct, "build_from_wplus", wplus_route)
+        result = cross_check_constructions(build_from_phi(parse_generator(expr), 2.0))
+        (seed,) = seeds
+        x0 = find_single_zero(seed)
+        x = sympy.Symbol("x")
+        phi = sympy.sympify(expr.replace("^", "**"))
+        wplus3 = sympy.diff(4 * phi / sympy.diff(phi, x), x, 3)
+        exact = float(wplus3.subs(x, sympy.Rational(x0)).evalf(40))
+        assert seed.deriv3(np.array([x0]))[0] == pytest.approx(exact, rel=1e-13)
+        assert result.v_minus_sup < 2e-14
+
 
 def test_probe_grid_is_centered_on_the_node():
     model = build_from_wplus(parse_generator("sinh(x) - sinh(0.4)"))

@@ -90,6 +90,27 @@ class TestCumulativeIntegral:
         for fn in (model.psi0.psi, model.psi1.psi, model.potentials.v_minus):
             assert np.array_equal(fn(xs), one_by_one(fn, xs))
 
+    def test_edge_query_does_not_depend_on_how_far_the_table_was_filled(self):
+        # leaf k starts at the product base + side*k*width, where (x - base)/width
+        # can round below k, on the product itself or one ulp outward of it
+        def integrand(t):
+            return np.cos(t) * np.exp(-0.1 * t * t) + 1.5
+
+        rng = np.random.default_rng(2024)
+        n = 25000
+        base, s = rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 5.0, n)
+        k, side = rng.integers(1, 61, n), rng.choice([1, -1], n)
+        width = s / 8.0
+        edge = base + side * k * width
+        for xs in (edge, np.nextafter(edge, side * np.inf)):
+            below = np.flatnonzero(np.floor(side * (xs - base) / width) < k)[:200]
+            assert below.size == 200
+            for i in below:
+                fresh = cumulative_integral(integrand, base[i], scale_hint=s[i])
+                wider = cumulative_integral(integrand, base[i], scale_hint=s[i])
+                wider(base[i] + side[i] * (k[i] + 3) * width[i])
+                assert fresh(xs[i]).tobytes() == wider(xs[i]).tobytes(), (base[i], s[i], k[i])
+
     def test_dense_query_batches_its_integrand_calls(self):
         rows = []
 
