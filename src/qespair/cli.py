@@ -409,7 +409,7 @@ def main(argv=None) -> int:
     logger.addHandler(printer)
     try:
         return args.func(args)
-    except QesError as exc:
+    except (QesError, MemoryError) as exc:  # numpy refuses an array too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -31,6 +31,9 @@ from .functions import GeneratorFunction
 __all__ = ["Jet", "parse_generator"]
 
 _MAX_INT_POWER = 64
+# Lowering and evaluation each recurse once per level of the tree, so this cap
+# keeps both far inside the interpreter's default recursion limit of 1000.
+_MAX_DEPTH = 200
 
 
 def _conv(a, b, k):
@@ -172,11 +175,12 @@ def _is_number(value) -> bool:
 
 def _literal_number(node):
     """Float value of a Constant node under any unary signs, else None."""
+    sign = 1.0
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        sign = -sign if isinstance(node.op, ast.USub) else sign
+        node = node.operand
     if isinstance(node, ast.Constant) and _is_number(node.value):
-        return float(node.value)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        inner = _literal_number(node.operand)
-        return inner if inner is None or isinstance(node.op, ast.UAdd) else -inner
+        return sign * float(node.value)
     return None
 
 
@@ -185,12 +189,15 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: operator.truediv, ast.Pow: lambda base, p: _EXP(p * _LN(base))}
 
 
-def _lower(node: ast.expr, text: str):
+def _lower(node: ast.expr, text: str, depth: int = 1):
     """The evaluator of node, a map from the variable's jet to the node's jet.
 
-    Refuses, with an ExpressionError, any node outside the grammar; the
-    checks run in tree order, and a power's exponent cap before its operands.
+    Refuses, with an ExpressionError, any node outside the grammar or deeper
+    than _MAX_DEPTH levels; the checks run in tree order, and a power's
+    exponent cap before its operands.
     """
+    if depth > _MAX_DEPTH:
+        raise ExpressionError(f"expression nests deeper than the cap of {_MAX_DEPTH} levels")
     if isinstance(node, ast.Constant) and not _is_number(node.value):
         raise ExpressionError(f"unsupported literal {node.value!r} in {text!r}")
     if isinstance(node, ast.Name) and node.id == "x":
@@ -201,14 +208,14 @@ def _lower(node: ast.expr, text: str):
         const = Jet([float(node.value) if isinstance(node, ast.Constant) else _CONSTANTS[node.id]])
         return lambda var: const
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        inner = _lower(node.operand, text)
+        inner = _lower(node.operand, text, depth + 1)
         return (lambda var: -inner(var)) if isinstance(node.op, ast.USub) else inner
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
         exponent = _literal_number(node.right) if isinstance(node.op, ast.Pow) else None
         if exponent is not None and exponent.is_integer() and abs(exponent) > _MAX_INT_POWER:
             raise ExpressionError(
                 f"integer exponent {int(exponent)} exceeds the cap of {_MAX_INT_POWER}")
-        left, right = _lower(node.left, text), _lower(node.right, text)
+        left, right = _lower(node.left, text, depth + 1), _lower(node.right, text, depth + 1)
         if exponent is None:
             op = _BINARY[type(node.op)]
             return lambda var: op(left(var), right(var))
@@ -221,7 +228,7 @@ def _lower(node: ast.expr, text: str):
             raise ExpressionError(f"unknown function in {text!r}")
         if len(node.args) != 1 or node.keywords:
             raise ExpressionError(f"functions take exactly one argument in {text!r}")
-        f, arg = _elementary(node.func.id), _lower(node.args[0], text)
+        f, arg = _elementary(node.func.id), _lower(node.args[0], text, depth + 1)
         return lambda var: f(arg(var))
     raise ExpressionError(f"unsupported syntax ({type(node).__name__}) in {text!r}")
 
@@ -235,8 +242,9 @@ def parse_generator(text: str, scale_hint: float = 1.0) -> GeneratorFunction:
     """
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"could not parse expression {text!r}: {exc.msg}") from exc
+    except (SyntaxError, RecursionError) as exc:  # ast.parse recurses once per level too
+        raise ExpressionError(
+            f"could not parse expression {text!r}: {getattr(exc, 'msg', exc)}") from exc
     evaluate = _lower(tree.body, text)
 
     def order(k: int):

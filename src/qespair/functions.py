@@ -282,19 +282,19 @@ class CumulativeIntegral:
 
     def __call__(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        steps = (xs - self.base_point) / self._width
-        if not (np.abs(np.floor(steps)) <= _MAX_PANELS).all():
+        flat, out, base = xs.reshape(-1), np.empty(xs.size), self.base_point
+        # each side's farthest point sets its fill and its refusal, before either side fills
+        far = {1: float(flat.max()), -1: float(flat.min())} if flat.size else {}
+        reach = {side: side * (x - base) / self._width for side, x in far.items()}
+        if not all(r <= _MAX_PANELS for r in reach.values()):  # NaN, inf and overflow fail too
             raise QueryRangeError(f"query points must be finite and within {_MAX_PANELS} "
-                                  f"panels of width {self._width!r} of x={self.base_point!r}")
-        flat, steps = xs.reshape(-1), steps.reshape(-1)
-        out = np.empty_like(flat)
+                                  f"panels of width {self._width!r} of x={base!r}")
         for side in (1, -1):
-            rows = np.flatnonzero(steps >= 0 if side == 1 else steps < 0)
+            rows = np.flatnonzero(flat >= base if side == 1 else flat < base)
             if rows.size:
-                far = flat.max() if side == 1 else flat.min()
-                k = math.floor(side * (far - self.base_point) / self._width)
+                k = math.floor(reach[side])
                 # the division can round below k + 1 on the edge product leaf k + 1 starts at
-                k += bool(side * far >= side * (self.base_point + side * (k + 1) * self._width))
+                k += bool(side * far[side] >= side * (base + side * (k + 1) * self._width))
                 table = self._side(side, k)
                 # in blocks, so a query's temporaries stay bounded however many points it has
                 for start in range(0, rows.size, _MAX_INTERVALS * _GL_NODES.size):

@@ -54,6 +54,7 @@ PHI_SEEDS = (
     "x + 0.3*x^3 + 0.5*tanh(2*x - 1)",
 )
 REMOVABLE = "x + 0.01*(((x - 1) * (x - pi)) / x^-1)"
+DEEP = "x" + "+0.001*x" * 980  # 982 levels, past the expression grammar's nesting cap
 
 COMMANDS = (
     [["build", "--family", name] for name in FAMILIES if name != "sinh-wplus"]
@@ -77,7 +78,8 @@ COMMANDS = (
     # psi1 that is zero on every point, a W+ seed whose phi'^3 underflows and
     # a W that overflows on the sign probes (the error line alone, no RuntimeWarning),
     # a triple zero off the scan points on each route, a zero the polish
-    # cannot resolve, and a sign change through a pole on each route
+    # cannot resolve, a sign change through a pole on each route, and a
+    # seed nested deeper than the grammar's cap
     + [["verify", "--family", "custom", "--expr", "x % 2"],
        ["verify", "--family", "custom", "--expr", "y^65"],
        ["crosscheck", "--family", "custom", "--expr", "ln(y)", "--epsilon", "2"],
@@ -89,7 +91,8 @@ COMMANDS = (
        ["crosscheck", "--family", "custom", "--expr", "(x - 0.013)^3", "--epsilon", "1"],
        ["verify", "--family", "custom", "--expr", "tanh(1e300*(x - 0.01))"],
        ["verify", "--family", "custom", "--expr", "-1/(x - 0.01)"],
-       ["crosscheck", "--family", "custom", "--expr", "-1/(x - 0.01)", "--epsilon", "1"]]
+       ["crosscheck", "--family", "custom", "--expr", "-1/(x - 0.01)", "--epsilon", "1"],
+       ["verify", "--family", "custom", "--expr", DEEP]]
     # read at the node without a RuntimeWarning: a removable singularity on
     # the scan point x = 0, whose derivative there is NaN, on each route
     # (exit 2), and a constant that overflows to inf (exit 0)

@@ -376,6 +376,46 @@ class TestValidation:
         assert code == 0 and err == ""
         assert out.startswith(f"family=custom expr='{expr}'")
 
+    DEEP = "x" + "+0.001*x" * 980  # evaluating it recursed past the interpreter's limit
+
+    @pytest.mark.parametrize("args", [
+        ["verify"], ["verify", "--epsilon", "1"], ["crosscheck", "--epsilon", "1"]],
+        ids=["verify", "verify-phi", "crosscheck"])
+    @pytest.mark.parametrize("expr,message", [
+        (DEEP, "error: expression nests deeper than the cap of 200 levels"),
+        ("x" + "+x" * 3000, "maximum recursion depth exceeded during ast construction"),
+    ], ids=["deeper-than-the-cap", "deeper-than-the-parser"])
+    def test_too_deeply_nested_expression_is_one_error_line(self, args, expr, message, capsys):
+        code, out, err = run_strict([*args[:1], "--family", "custom", "--expr", expr, *args[1:]],
+                                    capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and line.endswith(message)
+
+    def test_expression_one_level_under_the_nesting_cap_is_built(self, capsys):
+        expr = "x" + "+0.001*x" * 198  # 200 levels: the last term's x is one level deeper
+        for route in ([], ["--epsilon", "1"]):
+            code, out, err = run(["build", "--family", "custom", "--expr", expr, *route], capsys)
+            assert code == 0 and err == ""
+
+    # sizes of at least 1e15 only: numpy refuses them at once, where a size that
+    # fits in virtual memory could be overcommitted
+    @pytest.mark.parametrize("args", [
+        ["verify", "--family", "poly-wplus", "--grid-n", "1000000000000001", "--out", "{out}"],
+        ["verify", "--family", "poly-wplus", "--config", "{config}", "--out", "{out}"],
+        ["spectrum", "--family", "poly-phi-ces", "--grid-l", "5", "--grid-n", "1000000000000001"],
+        ["build", "--family", "poly-wplus", "--sweep", "a=1:2:1000000000000000", "--emit",
+         "{out}"],
+    ], ids=["verify-grid-n", "config-grid-n", "spectrum-grid-n", "build-sweep"])
+    def test_failed_allocation_is_one_error_line(self, args, tmp_path, capsys):
+        config, table = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps({"grid": {"N": 1000000000000001}}))
+        code, out, err = run([a.format(config=config, out=table) for a in args], capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()  # numpy's own words, which vary by version
+        assert line.startswith("error: ")
+        assert not table.exists()
+
     @pytest.mark.parametrize("sweep", ["b=1:2", "b=1:inf:2", "b=-inf:1:2", "b=nan:1:1",
                                        "b=1:inf:1", "b=-1e308:1e308:3"],
                              ids=["two-fields", "infinite-stop", "infinite-start", "nan-start",

@@ -145,6 +145,20 @@ def test_rejected_expressions(bad, fragment):
         parse_generator(bad)
 
 
+def test_nesting_cap_counts_levels_of_the_tree():
+    # x under n unary minus signs is n + 1 levels deep; lowering and evaluation
+    # each recurse once per level
+    g = parse_generator("-" * 199 + "x")
+    assert g.deriv1(np.array([0.25])).tolist() == [-1.0]
+    with pytest.raises(ExpressionError, match="deeper than the cap of 200 levels"):
+        parse_generator("-" * 200 + "x")
+    # a power's literal exponent under 1000 unary signs is read without recursion
+    with pytest.raises(ExpressionError, match="deeper than the cap of 200 levels"):
+        parse_generator("x^" + "-" * 1000 + "2")
+    with pytest.raises(ExpressionError, match="could not parse expression"):
+        parse_generator("x" + "+x" * 3000)  # too deep for the parser itself
+
+
 def test_domain_errors_surface_at_evaluation():
     g = parse_generator("ln(x)")
     assert g.eval(math.e) == pytest.approx(1.0, rel=1e-15)

@@ -78,6 +78,17 @@ class TestPolyWplus:
         model = poly_wplus_model(PolyWplusParams(2.0, 1.0))
         assert np.array_equal(model.psi0.psi(np.array([200.0, -200.0])), [0.0, 0.0])
 
+    def test_ground_state_is_even_down_to_subnormals(self):
+        # x0 = 0 exactly and scale hint 16.9: (x - x0)/width rounds to -0.0 at x = -5e-324
+        xs = np.array([5e-324, -5e-324])
+        for far in (None, 60.0, -60.0):
+            model = poly_wplus_model(PolyWplusParams(0.007, 1.0))
+            assert model.x0 == 0.0 and model.scale_hint >= 16.0
+            if far is not None:
+                model.psi0.psi(np.array([far]))
+            right, left = model.psi0.psi(xs)
+            assert left == right == model.psi0.psi(np.array([0.0]))[0]
+
     def test_potential_value_at_the_origin(self):
         # a=2, b=1: constant terms 3ab/(8a^2) + 3b/(8a) - a/2... collapsed by hand
         model = poly_wplus_model(PolyWplusParams(2.0, 1.0))

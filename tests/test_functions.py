@@ -4,6 +4,7 @@ import logging
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,59 @@ class TestCumulativeIntegral:
         for x in (1e20, -np.inf, np.nan):
             with pytest.raises(QueryRangeError, match="within"):
                 F(x)
+
+    @pytest.mark.parametrize("scale_hint", [16.0, 64.0])
+    def test_odd_primitive_is_odd_down_to_subnormals(self, scale_hint):
+        # (x - base)/width rounds to -0.0 at x = -5e-324: the point is still on side -1
+        def fresh():
+            return cumulative_integral(lambda t: np.cos(t) + 1.5, 0.0, scale_hint=scale_hint)
+
+        xs = np.array([5e-324, 1e-320, 0.3])
+        F = fresh()
+        assert np.array_equal(F(-xs), -F(xs))
+        for far in (40.0, -40.0):
+            filled = fresh()
+            filled(far)
+            assert np.array_equal(filled(-xs), -fresh()(xs))
+            assert np.array_equal(filled(-xs), -filled(xs))
+
+    def test_both_sides_refuse_beyond_the_panel_cap(self):
+        F = cumulative_integral(np.ones_like, 0.0, scale_hint=16.0)  # panels 2 wide
+        reach = 2.0 * functions._MAX_PANELS
+        for side in (1, -1):
+            with pytest.raises(QueryRangeError, match=f"within {functions._MAX_PANELS} panels"):
+                F(side * (reach + 1.0))
+            assert F(side * reach) == side * reach
+
+    def test_range_is_refused_before_any_fill(self):
+        calls = []
+
+        def integrand(t):
+            calls.append(t.size)
+            return np.where(t > 0.5, np.nan, 1.0)
+
+        with pytest.raises(QueryRangeError, match="within"):
+            cumulative_integral(integrand, 0.0)(np.array([1.0, -1e20]))
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_in_a_valid_array_is_refused(self, bad):
+        F = cumulative_integral(np.cos, 0.0)
+        with pytest.raises(QueryRangeError, match="finite"):
+            F(np.array([-1.0, 0.5, bad, 2.0]))
+
+    def test_reach_that_overflows_is_refused_without_a_warning(self):
+        F = cumulative_integral(np.cos, 0.0, scale_hint=1e-300)  # (x - base)/width overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QueryRangeError, match="within"):
+                F(np.array([1.0, -1e10]))
+
+    def test_empty_query_returns_an_empty_array(self):
+        F = cumulative_integral(np.cos, 0.0)
+        for shape in ((0,), (0, 3)):
+            out = F(np.empty(shape))
+            assert out.shape == shape and out.dtype == float
 
     def test_repeat_evaluation_is_deterministic(self):
         F = cumulative_integral(np.sin, 0.0)

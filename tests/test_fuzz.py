@@ -62,6 +62,7 @@ def _report(command, stdout):
 @example("x + 0.01*(((x - 1) * (x - pi)) / x^-1)")  # NaN jets at the scan point x = 0
 @example("x + 0.3*(cosh(1e3) + cosh(x))^-1")  # a constant that overflows to inf
 @example("x + 0.3*((1e3 - 1e3))^-2")  # a constant divisor of zero
+@example("x" + "+0.001*x" * 980)  # nested past the cap; evaluating it recursed too deep
 def test_every_seed_gives_a_finite_report_or_one_error_line(expr):
     for tail in ([], ["--epsilon", "1"]):
         for command in (["verify"] + (["crosscheck"] if tail else [])):
