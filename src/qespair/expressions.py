@@ -34,6 +34,8 @@ _MAX_INT_POWER = 64
 # Lowering and evaluation each recurse once per level of the tree, so this cap
 # keeps both far inside the interpreter's default recursion limit of 1000.
 _MAX_DEPTH = 200
+# An error message quotes at most this many characters of the text it names.
+_QUOTE_CHARS = 80
 
 
 def _conv(a, b, k):
@@ -189,6 +191,12 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: operator.truediv, ast.Pow: lambda base, p: _EXP(p * _LN(base))}
 
 
+def _quote(value) -> str:
+    """repr(value) for an error message, cut to _QUOTE_CHARS characters ending in '...'."""
+    text = repr(value)
+    return text if len(text) <= _QUOTE_CHARS else text[:_QUOTE_CHARS - 3] + "..."
+
+
 def _lower(node: ast.expr, text: str, depth: int = 1):
     """The evaluator of node, a map from the variable's jet to the node's jet.
 
@@ -199,11 +207,11 @@ def _lower(node: ast.expr, text: str, depth: int = 1):
     if depth > _MAX_DEPTH:
         raise ExpressionError(f"expression nests deeper than the cap of {_MAX_DEPTH} levels")
     if isinstance(node, ast.Constant) and not _is_number(node.value):
-        raise ExpressionError(f"unsupported literal {node.value!r} in {text!r}")
+        raise ExpressionError(f"unsupported literal {_quote(node.value)} in {_quote(text)}")
     if isinstance(node, ast.Name) and node.id == "x":
         return lambda var: var
     if isinstance(node, ast.Name) and node.id not in _CONSTANTS:
-        raise ExpressionError(f"unknown symbol {node.id!r} in {text!r}")
+        raise ExpressionError(f"unknown symbol {_quote(node.id)} in {_quote(text)}")
     if isinstance(node, (ast.Constant, ast.Name)):
         const = Jet([float(node.value) if isinstance(node, ast.Constant) else _CONSTANTS[node.id]])
         return lambda var: const
@@ -225,12 +233,12 @@ def _lower(node: ast.expr, text: str, depth: int = 1):
         return lambda var: left(var).float_power(exponent)
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
-            raise ExpressionError(f"unknown function in {text!r}")
+            raise ExpressionError(f"unknown function in {_quote(text)}")
         if len(node.args) != 1 or node.keywords:
-            raise ExpressionError(f"functions take exactly one argument in {text!r}")
+            raise ExpressionError(f"functions take exactly one argument in {_quote(text)}")
         f, arg = _elementary(node.func.id), _lower(node.args[0], text, depth + 1)
         return lambda var: f(arg(var))
-    raise ExpressionError(f"unsupported syntax ({type(node).__name__}) in {text!r}")
+    raise ExpressionError(f"unsupported syntax ({type(node).__name__}) in {_quote(text)}")
 
 
 def parse_generator(text: str, scale_hint: float = 1.0) -> GeneratorFunction:
@@ -244,7 +252,7 @@ def parse_generator(text: str, scale_hint: float = 1.0) -> GeneratorFunction:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
     except (SyntaxError, RecursionError) as exc:  # ast.parse recurses once per level too
         raise ExpressionError(
-            f"could not parse expression {text!r}: {getattr(exc, 'msg', exc)}") from exc
+            f"could not parse expression {_quote(text)}: {getattr(exc, 'msg', exc)}") from exc
     evaluate = _lower(tree.body, text)
 
     def order(k: int):

@@ -8,9 +8,10 @@ Everything downstream consumes functions through two small types:
   derivatives: Horner for polynomials, closed forms for sinh, Taylor
   recurrences for parsed expressions.
 * :class:`CumulativeIntegral` is a primitive of an integrand, zero at
-  ``base_point``, on panels scale_hint/8 wide.  A fill keeps only the leaves of
-  its adaptive split, each with its primitive and its start value (a running sum
-  of leaf integrals), so repeated queries only pay for new territory.
+  ``base_point``, on panels one scale hint wide.  A fill keeps only the leaves
+  of its adaptive split, each with its primitive as a power series and its start
+  value (a running sum of leaf integrals), so repeated queries only pay for new
+  territory and read a leaf by Horner's rule.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # Absolute tolerance of each panel's adaptive split.
 _ABS_TOL = 1e-10
 
-# Panel subdivision stops here even if the tolerance is still unmet; combined
-# with the machine-relative floor below this keeps huge integrands terminating.
-_MAX_SPLIT_DEPTH = 12
+# Panel subdivision stops here even if the tolerance is still unmet, at leaves
+# scale_hint/2**16 wide; with the machine-relative floor below this keeps huge
+# integrands terminating.
+_MAX_SPLIT_DEPTH = 15
 _REL_FLOOR = 4.0 * np.finfo(float).eps
 
 # Intervals per integrand call, which holds 16 abscissae per interval and the
@@ -48,9 +50,9 @@ _REL_FLOOR = 4.0 * np.finfo(float).eps
 # 2048, +5.2% at 1024, +2.2% at 256; 64 saved <1% and ran parsed seeds 1.6x slower.
 _MAX_INTERVALS = 256
 # A query farther out is refused: a fill keeps at least two leaves of 21
-# floats per panel it spans (22 MB per side at this cap), and auto_grid's
-# widest box spans 400.
-_MAX_PANELS = 2 ** 16
+# floats per panel it spans (2.8 MB per side at this cap), and auto_grid's
+# widest box spans 50.
+_MAX_PANELS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -143,25 +145,43 @@ def _primitive_rows():
     return rows
 
 
+def _power_rows():
+    """T with T[j] . c the coefficient of u**j, j = 0..16, in the Legendre series c.
+
+    Column k holds P_k's power-series coefficients; divided by P_k's leading
+    one, each column's absolute values sum to at most 18.73, so a leaf's change
+    of basis is well conditioned.
+    """
+    rows = np.zeros((len(_PRIMITIVE), len(_PRIMITIVE)))
+    for k, unit in enumerate(np.eye(len(_PRIMITIVE))):
+        rows[:k + 1, k] = np.polynomial.legendre.leg2poly(unit)
+    return rows
+
+
 _PRIMITIVE = _primitive_rows()
-# Stored leaves use the monic basis Q_k = P_k / lead_k, whose Clenshaw step
-# b_k = c_k + u b_{k+1} - G_{k+1} b_{k+2} takes one multiplication fewer.
-_MONIC = np.array([[math.comb(2 * k, k) / 2 ** k] for k in range(len(_PRIMITIVE))])
-_CLENSHAW_G = [k * k / (4 * k * k - 1) for k in range(len(_PRIMITIVE))]
+_TO_POWER = _power_rows()
+
+
+def _reduce_rows(rows, matrix):
+    """out[i, j] = (rows[i] * matrix[j]).sum(), each its own row's reduction.
+
+    One broadcast product per block of _MAX_INTERVALS rows, never a matrix
+    product, so a row's bits do not depend on which other rows share the call
+    and the temporary stays bounded.
+    """
+    out = np.empty((rows.shape[0], matrix.shape[0]))
+    for start in range(0, rows.shape[0], _MAX_INTERVALS):
+        block = slice(start, start + _MAX_INTERVALS)
+        out[block] = (rows[block, None, :] * matrix).sum(axis=2)
+    return out
 
 
 def _primitives(nodes, half):
     """Legendre coefficients, one column per row of nodes, of the primitive of
-    each row's 16-node interpolant over an interval of half-width half[i].
-
-    One broadcast product per block of _MAX_INTERVALS rows forms all 17, each
-    still its own row's reduction of 16 products, like _gl16's sums.
+    each row's 16-node interpolant over an interval of half-width half[i]:
+    each still its own row's reduction of 16 products, like _gl16's sums.
     """
-    coef = np.empty((len(_PRIMITIVE), half.size))
-    for start in range(0, half.size, _MAX_INTERVALS):
-        rows = slice(start, start + _MAX_INTERVALS)
-        coef[:, rows] = (half[rows, None] * (nodes[rows, None, :] * _PRIMITIVE).sum(axis=2)).T
-    return coef
+    return (half[:, None] * _reduce_rows(nodes, _PRIMITIVE)).T
 
 
 def _integrate(f, lo, hi, tol, depth=0):
@@ -204,7 +224,7 @@ class _Side:
     integral at their far edge, as leaves in walk order.
 
     Leaf i starts at side*key[i], where the integral is value[i], and spans
-    mid[i] + half[i]*u for u in [-1, 1]; coef[:, i] are the monic Legendre
+    mid[i] + half[i]*u for u in [-1, 1]; coef[:, i] are the power-series
     coefficients in u of the integral from its start.
     """
 
@@ -218,28 +238,27 @@ class _Side:
 
     def at(self, side: int, x: np.ndarray) -> np.ndarray:
         """The integral at points x inside the filled panels: a query on a
-        leaf's start is its stored value, any other a Clenshaw sum added to it."""
+        leaf's start is its stored value, any other a Horner sum added to it."""
         i = np.searchsorted(self.key, side * x, side="right") - 1
         u = (x - self.mid[i]) / self.half[i]
         coef = self.coef.take(i, axis=1)
-        b1, b2 = coef[-1], 0.0
+        b = coef[-1]
         for k in reversed(range(len(coef) - 1)):
-            b = u * b1
+            b *= u
             b += coef[k]
-            b -= _CLENSHAW_G[k + 1] * b2
-            b1, b2 = b, b1
         value = self.value[i]
-        return np.where(side * x == self.key[i], value, value + b1)
+        return np.where(side * x == self.key[i], value, value + b)
 
 
 class CumulativeIntegral:
     """Primitive of an integrand anchored at a base point.
 
     Calling it on an array returns the signed integral from ``base_point`` to
-    each point, as an array of the same shape.  Panels scale_hint/8 wide tile
+    each point, as an array of the same shape.  Panels scale_hint wide tile
     the axis from the base point; each side's are filled once, under a lock,
     by adaptive GL16, and every leaf keeps the primitive of its 16-node
-    interpolant, so a query inside filled panels makes no integrand call.
+    interpolant as 17 power-series coefficients, so a query inside filled
+    panels makes no integrand call and reads its leaf by Horner's rule.
     """
 
     def __init__(self, integrand, base_point, scale_hint=1.0):
@@ -249,7 +268,7 @@ class CumulativeIntegral:
             raise ValueError("base_point must be finite")
         self.integrand = integrand
         self.base_point = float(base_point)
-        self._width = float(scale_hint) / 8.0
+        self._width = float(scale_hint)
         empty = np.empty(0)
         self._sides = {side: _Side(0, 0.0, empty, empty, empty, empty, np.empty((len(_PRIMITIVE), 0)))
                        for side in (1, -1)}
@@ -276,7 +295,8 @@ class CumulativeIntegral:
                     np.concatenate([table.value, values[:-1]]),
                     np.concatenate([table.mid, 0.5 * (hi + lo)]),
                     np.concatenate([table.half, 0.5 * (hi - lo)]),
-                    np.concatenate([table.coef, coef[:, order] * _MONIC], axis=1))
+                    np.concatenate([table.coef, _reduce_rows(coef[:, order].T, _TO_POWER).T],
+                                   axis=1))
                 self._sides[side] = table
         return table
 

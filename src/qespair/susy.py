@@ -89,7 +89,7 @@ def zero_mode(W: Superpotential, x0: float) -> Callable:
     """x -> exp(-int_x0^x W), the zero mode of H_minus that W factorizes.
 
     The primitive is one memoizing CumulativeIntegral anchored at x0, with
-    panels of W.scale_hint/8.
+    panels W.scale_hint wide.
     """
     integral = cumulative_integral(W.w, x0, scale_hint=W.scale_hint)
     return lambda x: np.exp(-integral(x))

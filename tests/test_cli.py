@@ -81,7 +81,7 @@ class TestBuild:
             assert emitted == again
 
     def test_far_box_emits_without_recursion(self, tmp_path, capsys):
-        # a 130-wide box puts the table 1040 panels from the node
+        # a 130-wide box puts the table 130 panels from the node
         out_path = tmp_path / "far.csv"
         code, out, _ = run(["build", "--family", "poly-wplus", "--grid-l", "130",
                             "--grid-n", "5", "--emit", str(out_path)], capsys)
@@ -391,6 +391,14 @@ class TestValidation:
         assert code == 2 and out == ""
         [line] = err.splitlines()
         assert line.startswith("error: ") and line.endswith(message)
+
+    def test_long_expression_error_line_quotes_part_of_it(self, capsys):
+        expr = "x" + "+x" * 3000
+        code, out, err = run_strict(["verify", "--family", "custom", "--expr", expr], capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: could not parse expression '" + expr[:76] + "...: ")
+        assert len(line.encode()) <= 200
 
     def test_expression_one_level_under_the_nesting_cap_is_built(self, capsys):
         expr = "x" + "+0.001*x" * 198  # 200 levels: the last term's x is one level deeper

@@ -145,6 +145,22 @@ def test_rejected_expressions(bad, fragment):
         parse_generator(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    "y" * 500 + " + x",
+    "x + '" + "a" * 500 + "'",
+    "[" + "x, " * 500 + "x]",
+    "g" * 500 + "(x)",
+    "sin(x, " + "x + " * 500 + "x)",
+    "x" + "+x" * 3000,
+], ids=["symbol", "literal", "syntax", "function", "arguments", "parser"])
+def test_long_text_is_quoted_in_part(bad):
+    # each quoted text is cut to 80 characters ending in '...'
+    with pytest.raises(ExpressionError) as info:
+        parse_generator(bad)
+    message = str(info.value)
+    assert len(message) <= 200 and "..." in message
+
+
 def test_nesting_cap_counts_levels_of_the_tree():
     # x under n unary minus signs is n + 1 levels deep; lowering and evaluation
     # each recurse once per level

@@ -74,7 +74,7 @@ class TestPolyWplus:
         assert np.max(np.abs(ratio - ratio[0])) < 1e-10
 
     def test_far_tails_evaluate_without_recursion(self):
-        # 1600 panels out, past the default recursion limit
+        # 200 panels out, walked by one fill per side, not one call per panel
         model = poly_wplus_model(PolyWplusParams(2.0, 1.0))
         assert np.array_equal(model.psi0.psi(np.array([200.0, -200.0])), [0.0, 0.0])
 

@@ -98,10 +98,11 @@ class TestCumulativeIntegral:
             return np.cos(t) * np.exp(-0.1 * t * t) + 1.5
 
         rng = np.random.default_rng(2024)
-        n = 25000
+        n = 50000
         base, s = rng.uniform(-3.0, 3.0, n), rng.uniform(0.05, 5.0, n)
         k, side = rng.integers(1, 61, n), rng.choice([1, -1], n)
-        width = s / 8.0
+        width = np.array([cumulative_integral(integrand, b, scale_hint=h)._width
+                          for b, h in zip(base, s)])
         edge = base + side * k * width
         for xs in (edge, np.nextafter(edge, side * np.inf)):
             below = np.flatnonzero(np.floor(side * (xs - base) / width) < k)[:200]
@@ -138,6 +139,66 @@ class TestCumulativeIntegral:
                               for weights in functions._PRIMITIVE])
         assert functions._primitives(nodes, half).tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("leaves", [1, 255, 256, 257, 700])
+    def test_power_coefficients_match_a_per_leaf_reduction_bit_for_bit(self, leaves):
+        rng = np.random.default_rng(leaves)
+        legendre = rng.standard_normal((leaves, 17)) * 10.0 ** rng.uniform(-30, 30, (leaves, 17))
+        reference = np.array([[(legendre[i] * row).sum() for row in functions._TO_POWER]
+                              for i in range(leaves)])
+        converted = functions._reduce_rows(legendre, functions._TO_POWER)
+        assert converted.tobytes() == reference.tobytes()
+
+    def test_stored_leaves_are_their_legendre_primitives_in_the_power_basis(self):
+        # 350 panels of two leaves each: the conversion runs in three blocks
+        F = cumulative_integral(lambda t: np.cos(t) + 1.5, 0.0, scale_hint=0.25)
+        F(350 * F._width - 1e-3)
+        table = F._sides[1]
+        assert table.half.size == 700
+        edges = np.arange(351) * F._width
+        lo, _, _, legendre = functions._integrate(F.integrand, edges[:-1], edges[1:],
+                                                  functions._ABS_TOL)
+        legendre = legendre[:, np.argsort(lo)]
+        reference = np.array([[(legendre[:, i] * row).sum() for i in range(700)]
+                              for row in functions._TO_POWER])
+        assert table.coef.tobytes() == reference.tobytes()
+
+    def test_horner_reads_a_leaf_as_its_legendre_series(self):
+        # leaves of random smooth integrands, each read at a random point by
+        # _Side.at with a start value of zero, against numpy's Legendre sum
+        rng = np.random.default_rng(33)
+        eps = np.finfo(float).eps
+        for _ in range(50):
+            w, phase, decay, shift, s = rng.uniform([0.2, 0.0, 0.0, -2.0, 0.1],
+                                                    [5.0, 6.0, 1.0, 2.0, 3.0])
+            edges = np.arange(-6, 7) * s
+            lo, hi, _, legendre = functions._integrate(
+                lambda t: np.cos(w * t + phase) * np.exp(-decay * t * t) + shift,
+                edges[:-1], edges[1:], functions._ABS_TOL)
+            order = np.argsort(lo)
+            lo, hi, legendre = lo[order], hi[order], legendre[:, order]
+            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            power = functions._reduce_rows(legendre.T, functions._TO_POWER).T
+            table = functions._Side(1, 0.0, lo, np.zeros(lo.size), mid, half, power)
+            x = mid + half * rng.uniform(-1.0, 1.0, lo.size)
+            u = (x - mid) / half
+            want = [np.polynomial.legendre.legval(u[i], legendre[:, i]) for i in range(lo.size)]
+            assert np.all(np.abs(table.at(1, x) - want) <= 4.0 * eps * np.abs(legendre).sum(axis=0))
+
+    def test_smooth_fill_costs_what_its_panels_imply(self):
+        # a fill of k panels with no split evaluates three GL16 rules per panel
+        # (the whole and its two halves), in one integrand call per side
+        points = []
+
+        def integrand(t):
+            points.append(t.size)
+            return np.cos(t) * np.exp(-0.1 * t * t)
+
+        F = cumulative_integral(integrand, 0.0)
+        F(np.linspace(-10.0, 10.0, 801))
+        panels = math.floor(10.0 / F._width) + 1
+        assert len(points) <= 2
+        assert sum(points) <= 2 * panels * 3 * 16
+
     def test_far_or_non_finite_query_is_refused(self):
         F = cumulative_integral(np.cos, 0.0)
         for x in (1e20, -np.inf, np.nan):
@@ -160,8 +221,8 @@ class TestCumulativeIntegral:
             assert np.array_equal(filled(-xs), -filled(xs))
 
     def test_both_sides_refuse_beyond_the_panel_cap(self):
-        F = cumulative_integral(np.ones_like, 0.0, scale_hint=16.0)  # panels 2 wide
-        reach = 2.0 * functions._MAX_PANELS
+        F = cumulative_integral(np.ones_like, 0.0, scale_hint=16.0)
+        reach = F._width * functions._MAX_PANELS
         for side in (1, -1):
             with pytest.raises(QueryRangeError, match=f"within {functions._MAX_PANELS} panels"):
                 F(side * (reach + 1.0))
@@ -275,7 +336,7 @@ class TestCumulativeIntegral:
         assert caplog.records == []
 
     def test_explicit_scale_hint(self):
-        F = CumulativeIntegral(np.cos, 0.0, scale_hint=4.0)  # panels 0.5 wide
+        F = CumulativeIntegral(np.cos, 0.0, scale_hint=4.0)  # panels 4 wide
         assert F(7.0) == pytest.approx(math.sin(7.0), abs=1e-11)
         for bad in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="scale_hint must be positive and finite"):
